@@ -16,7 +16,7 @@ from mpmath import mp, mpf
 
 from szdet.orbifold import modular_orbifold
 from szdet.regdet import SurfaceContext, d_minus, d_plus, det_squared
-from szdet.zetas import ModularGeodesicSource, ModularScattering, scattering_phi
+from szdet.zetas import ModularGeodesicSource, ModularScattering
 
 
 def main():
@@ -38,7 +38,7 @@ def main():
             z = mpf(args.zmin) + (mpf(args.zmax) - mpf(args.zmin)) * i / (args.steps - 1)
             ds = det_squared(ctx, z)
             dp, dm = d_plus(ctx, z), d_minus(ctx, z)
-            phi = scattering_phi(ctx.scattering, z, args.prec)
+            phi = ctx.scattering.phi(z, args.prec)
             resid = abs(ds - dp * dm) / abs(ds)
             print(",".join([
                 mp.nstr(z, 6), mp.nstr(ds, 20), mp.nstr(dp, 20),

@@ -245,7 +245,7 @@ def cmd_detsq(orb, scattering, z, prec: int, cutoff, fmt: str) -> str:
         det = regdet.det_squared(ctx, z)
         dp = regdet.d_plus(ctx, z)
         dm = regdet.d_minus(ctx, z)
-        phi = zetas.scattering_phi(scattering, z, prec)
+        phi = scattering.phi(z, prec)
         g1 = mp.exp(log_g1(orb, to_scalar(z, prec + 8), prec))
         two_path = abs(det - dp * dm) / abs(det)
         ok = two_path < mpf(2) ** (-prec // 2)

@@ -8,9 +8,11 @@ multiplicity sequence m_n:
             * prod_R d_R^(-h(1-1/d_R) s) Gamma(s)^(h(1-1/d_R))
                      prod_{m=0}^{d_R-1} Gamma((s+m)/d_R)^(-alpha(R,m)/d_R)
 
-with all fractional powers taken through principal logarithms.  log G1 here
-always means the sum of the scaled principal logs of the factors, so
-exp(log_g1(s)) is G1(s) on the common domain.
+with all fractional powers taken through log_gamma and log_barnes_g, i.e.
+the analytic continuations of the real logarithms from the positive real
+axis (cut on (-inf, 0]), not principal logarithms.  log G1 here always means
+the sum of those scaled logs of the factors, so exp(log_g1(s)) is G1(s) on
+the common domain.
 
 The large-s expansion is
 
@@ -172,7 +174,10 @@ def _check_off_cut(arg, what: str):
 
 
 def log_g1(orb: OrbifoldData, s, prec: int = DEFAULT_PREC):
-    """Direct evaluation of log G1(s) as a sum of scaled principal logs.
+    """Direct evaluation of log G1(s) as a sum of scaled logs of the factors.
+
+    Each log is the continuation from the positive real axis, cut on
+    (-inf, 0], as computed by log_gamma and log_barnes_g.
 
     Raises SingularityError within 2^(-prec/4) of a nonpositive integer -n
     where m_n != 0, and BranchError if any constituent Gamma/G argument lies

@@ -2,15 +2,20 @@
 
 Scalars are mpmath ``mpf``/``mpc`` values; every public function takes the
 working precision in bits (``prec``, default 256) and returns a value rounded
-to that precision, having computed with guard bits internally.  Complex powers
-and logarithms always use the principal branch with arg in (-pi, pi].
+to that precision, having computed with guard bits internally.  ``plog`` is
+the principal logarithm, arg in (-pi, pi].
 
-log_gamma is the Stirling asymptotic series after upward recursion
-``log Gamma(z) = log Gamma(z+n) - sum log(z+k)``; log_barnes_g uses the
-order-two asymptotic expansion of ``log G(s+1)`` in the far right half plane
-plus the recursion ``G(z+1) = Gamma(z) G(z)``.  The Riemann zeta function uses
-a globally convergent alternating (Borwein-style) scheme with the functional
-equation for Re(s) < 1/2; the Hurwitz zeta function uses Euler-Maclaurin.
+log_gamma and log_barnes_g are not principal logarithms of Gamma and G: they
+are the analytic continuations of the real logarithms on the positive real
+axis, with the cut on (-inf, 0], so their imaginary parts grow without bound
+along vertical lines (Im log Gamma(3+50i) ~ 149.47).  exp() of either is the
+function value.
+
+log_gamma, riemann_zeta, hurwitz_zeta and zeta_prime_minus1 are mpmath's
+(``loggamma``, ``zeta`` and Glaisher's constant) behind the library's domain
+checks and error contract.  log_barnes_g, which mpmath does not provide, uses
+the order-two asymptotic expansion of ``log G(s+1)`` in the far right half
+plane plus the recursion ``G(z+1) = Gamma(z) G(z)``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, floor
+from math import comb
 
 from mpmath import mp, mpc, mpf
 
@@ -26,9 +31,6 @@ from .errors import BranchError, DomainError, PoleError, PrecisionError, ZeroErr
 
 DEFAULT_PREC = 256
 _GUARD = 32
-
-ExtReal = mpf
-ExtComplex = mpc
 
 
 def to_scalar(x, prec: int = DEFAULT_PREC):
@@ -141,14 +143,6 @@ class RemainderBound:
         return self.bound_constant * abs(mp.mpmathify(s)) ** self.decay_exponent
 
 
-def stirling_remainder(w, m: int, prec: int = DEFAULT_PREC) -> RemainderBound:
-    """Remainder model for the Stirling series truncated before order m."""
-    with mp.workprec(prec):
-        a = abs(mp.mpmathify(w))
-        term = abs(frac_to_mpf(BERNOULLI.even(m))) / ((2 * m - 1) * (2 * m) * a ** (2 * m - 1))
-        return RemainderBound(m, +(term * a ** (2 * m - 1)), -(2 * m - 1))
-
-
 def barnes_remainder(u, n: int, prec: int = DEFAULT_PREC) -> RemainderBound:
     """Remainder model for the Barnes expansion truncated before index n+1."""
     with mp.workprec(prec):
@@ -162,40 +156,11 @@ def barnes_remainder(u, n: int, prec: int = DEFAULT_PREC) -> RemainderBound:
 # ---------------------------------------------------------------------------
 
 
-def _shift_threshold(prec: int) -> int:
-    return max(20, prec // 3)
-
-
-def _stirling_tail(w, wp: int):
-    """sum_{j>=1} B_{2j} / ((2j-1)(2j) w^(2j-1)), adaptively truncated."""
-    eps = mpf(2) ** (-(wp + 4))
-    w2 = w * w
-    pw = 1 / w
-    total = mp.mpf(0)
-    last = mp.inf
-    j = 1
-    while True:
-        term = frac_to_mpf(BERNOULLI.even(j)) / ((2 * j - 1) * (2 * j)) * pw
-        mag = abs(term)
-        if mag > last:
-            raise PrecisionError(
-                f"Stirling series diverged before reaching 2^-{wp} at |w|={abs(w)}"
-            )
-        total += term
-        if mag < eps:
-            return total
-        last = mag
-        pw /= w2
-        j += 1
-        if j > 4 * wp:
-            raise PrecisionError("Stirling series failed to terminate")
-
-
 def log_gamma(z, prec: int = DEFAULT_PREC):
-    """Principal-branch log Gamma(z) for z off the cut (-inf, 0].
+    """log Gamma(z) for z off the cut (-inf, 0], by ``mp.loggamma``.
 
-    Shifts upward until Re(z+n) >= max(20, prec/3), then evaluates the
-    Stirling asymptotic series.  Accurate to ~2^(16-prec) relative error.
+    The branch is the analytic continuation from the positive real axis, not
+    the principal log of Gamma(z).
     """
     with mp.workprec(prec + _GUARD):
         w = mp.mpmathify(z)
@@ -204,19 +169,7 @@ def log_gamma(z, prec: int = DEFAULT_PREC):
             raise PoleError(f"log_gamma pole at z = -{n_pole}")
         if _is_real(w) and _real(w) < 0:
             raise DomainError("log_gamma: negative real argument lies on the cut")
-        threshold = _shift_threshold(prec)
-        shift = max(0, int(mp.ceil(threshold - _real(w))))
-        corr = mp.mpf(0)
-        for k in range(shift):
-            corr += plog(w + k)
-        u = w + shift
-        main = (
-            mp.log(2 * mp.pi) / 2
-            + (u - mp.mpf(1) / 2) * plog(u)
-            - u
-            + _stirling_tail(u, prec + _GUARD)
-        )
-        val = main - corr
+        val = mp.loggamma(w)
     return _rounded(prec, val)
 
 
@@ -255,8 +208,15 @@ def _barnes_tail(u, wp: int):
             raise PrecisionError("Barnes series failed to terminate")
 
 
+def _shift_threshold(prec: int) -> int:
+    return max(20, prec // 3)
+
+
 def log_barnes_g(z, prec: int = DEFAULT_PREC):
-    """Principal-branch log G(z) of the Barnes double Gamma function.
+    """log G(z) of the Barnes double Gamma function, z off the cut (-inf, 0].
+
+    The branch is the analytic continuation from the positive real axis, not
+    the principal log of G(z): Im log G(3+50i) ~ -1623.36.
 
     G(z) vanishes at z = 0, -1, -2, ... to order 1 - z; requesting log there
     raises ZeroError carrying that order.  Elsewhere the value is computed
@@ -298,105 +258,22 @@ def log_barnes_g(z, prec: int = DEFAULT_PREC):
 # Riemann zeta
 # ---------------------------------------------------------------------------
 
-_BORWEIN_CACHE: dict[int, list[int]] = {}
-_borwein_lock = threading.Lock()
-
-
-def _borwein_coeffs(n: int) -> list[int]:
-    with _borwein_lock:
-        if n not in _BORWEIN_CACHE:
-            d = []
-            acc = 0
-            num = 1  # (n+i-1)! 4^i / ((n-i)! (2i)!) as exact integer times n
-            for i in range(n + 1):
-                if i == 0:
-                    num = 1
-                else:
-                    num = num * (n + i - 1) * 4 * (n - i + 1) // ((2 * i) * (2 * i - 1))
-                acc += num
-                d.append(n * acc)
-            _BORWEIN_CACHE[n] = d
-        return _BORWEIN_CACHE[n]
-
 
 def riemann_zeta(s, prec: int = DEFAULT_PREC):
-    """zeta(s) on C minus the pole at s = 1.
-
-    Alternating globally convergent scheme for Re(s) >= 1/2; the functional
-    equation ``zeta(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s) zeta(1-s)``
-    otherwise.
-    """
-    wp = prec + _GUARD
-    with mp.workprec(wp):
+    """zeta(s) on C minus the pole at s = 1, by ``mp.zeta``."""
+    with mp.workprec(prec + _GUARD):
         w = mp.mpmathify(s)
         if _is_real(w) and _real(w) == 1:
             raise PoleError("zeta pole at s = 1")
-        if _real(w) >= mp.mpf(1) / 2:
-            val = _zeta_on_right(w, wp)
-        elif abs(w) < mpf(2) ** (-(wp // 2)):
-            # below representation scale of 1 - s; Taylor at the origin
-            val = -mp.mpf(1) / 2 - w * mp.log(2 * mp.pi) / 2
-        else:
-            # reflect to Re >= 1/2
-            val = (
-                2**w
-                * mp.pi ** (w - 1)
-                * mp.sin(mp.pi * w / 2)
-                * mp.exp(log_gamma(1 - w, wp))
-                * _zeta_on_right(1 - w, wp)
-            )
+        val = mp.zeta(w)
     return _rounded(prec, val)
 
 
-def _zeta_on_right(s, wp: int):
-    """zeta(s) for Re(s) >= 1/2.
-
-    Alternating scheme away from the zeros of 1 - 2^(1-s); near them (the
-    line Re(s) = 1 at imaginary parts 2 pi k / log 2) the 0/0 form is
-    avoided by summing the Hurwitz Euler-Maclaurin form at z = 1 instead.
-    """
-    denom = 1 - mpf(2) ** (1 - s)
-    if abs(denom) < mpf(2) ** (-8):
-        return hurwitz_zeta(s, 1, wp)
-    n = int(wp * 0.3965) + 12
-    d = _borwein_coeffs(n)
-    total = mp.mpf(0)
-    for k in range(n):
-        term = mp.mpf(d[k] - d[n]) / (k + 1) ** s
-        total += -term if k % 2 else term
-    return -total / (d[n] * denom)
-
-
-_ZPM1_CACHE: dict[int, mpf] = {}
-_zpm1_lock = threading.Lock()
-
-
 def zeta_prime_minus1(prec: int = DEFAULT_PREC) -> mpf:
-    """zeta'(-1), by central differences with one Richardson step.
-
-    Cached per precision; computed from riemann_zeta at elevated internal
-    precision so the difference quotient keeps ~prec good bits.
-    """
-    key = prec
-    with _zpm1_lock:
-        if key in _ZPM1_CACHE:
-            return _ZPM1_CACHE[key]
-    wp = 2 * prec + 64
-    with mp.workprec(wp):
-        h = mpf(2) ** (-(prec // 2))
-
-        def diff(step):
-            return (riemann_zeta(-1 + step, wp) - riemann_zeta(-1 - step, wp)) / (
-                2 * step
-            )
-
-        d1 = diff(h)
-        d2 = diff(h / 2)
-        val = (4 * d2 - d1) / 3
-    val = _rounded(prec, val)
-    with _zpm1_lock:
-        _ZPM1_CACHE[key] = val
-    return val
+    """zeta'(-1) = 1/12 - log A, with A Glaisher's constant (cached by mpmath)."""
+    with mp.workprec(prec + _GUARD):
+        val = mp.mpf(1) / 12 - mp.log(mp.glaisher)
+    return _rounded(prec, val)
 
 
 # ---------------------------------------------------------------------------
@@ -405,73 +282,16 @@ def zeta_prime_minus1(prec: int = DEFAULT_PREC) -> mpf:
 
 
 def hurwitz_zeta(s, z, prec: int = DEFAULT_PREC):
-    """zeta_H(s, z) = sum_{k>=0} (z+k)^(-s), Euler-Maclaurin continuation.
+    """zeta_H(s, z) = sum_{k>=0} (z+k)^(-s), by ``mp.zeta(s, z)``.
 
     Valid for z off the cut (-inf, 0] and s != 1.
     """
-    wp = prec + _GUARD
-    with mp.workprec(wp):
+    with mp.workprec(prec + _GUARD):
         ss = mp.mpmathify(s)
         zz = mp.mpmathify(z)
         if _is_real(ss) and _real(ss) == 1:
             raise PoleError("hurwitz_zeta pole at s = 1")
         if _is_real(zz) and _real(zz) <= 0:
             raise DomainError("hurwitz_zeta: z on the cut (-inf, 0]")
-        target = max(12, int(0.3 * wp) + int(0.35 * abs(mp.im(ss))))
-        n_shift = max(0, target - int(floor(_real(zz))))
-        tail_base = zz + n_shift
-        direct = mp.mpf(0)
-        for k in range(n_shift):
-            direct += (zz + k) ** (-ss)
-        val = direct + tail_base ** (1 - ss) / (ss - 1) + tail_base ** (-ss) / 2
-        # Bernoulli correction terms B_2j/(2j)! * (s)_{2j-1} * base^(-s-2j+1)
-        eps = mpf(2) ** (-(wp + 4))
-        scale = max(abs(val), mpf(1))
-        rising = ss  # (s)_1
-        fact = mp.mpf(2)  # (2j)!
-        power = tail_base ** (-ss - 1)
-        base2 = tail_base * tail_base
-        last = mp.inf
-        j = 1
-        while True:
-            term = frac_to_mpf(BERNOULLI.even(j)) / fact * rising * power
-            mag = abs(term)
-            if mag > last:
-                raise PrecisionError(
-                    "Euler-Maclaurin tail diverged before target precision"
-                )
-            val += term
-            if mag < eps * scale:
-                break
-            last = mag
-            rising *= (ss + 2 * j - 1) * (ss + 2 * j)
-            fact *= (2 * j + 1) * (2 * j + 2)
-            power /= base2
-            j += 1
-            if j > 2 * wp:
-                raise PrecisionError("Euler-Maclaurin tail failed to terminate")
-    return _rounded(prec, val)
-
-
-def hurwitz_zeta_ds0(z, prec: int = DEFAULT_PREC):
-    """d/ds zeta_H(s, z) at s = 0.
-
-    Central difference of the Euler-Maclaurin sum at s = +/- h with one
-    Richardson step, carried out at elevated internal precision.  (The Lerch
-    closed form log(Gamma(z)/sqrt(2 pi)) is used as an independent oracle in
-    the test suite, not here.)
-    """
-    wp = 2 * prec + 96
-    with mp.workprec(wp):
-        zz = mp.mpmathify(z)
-        h = mpf(2) ** (-(prec // 3))
-
-        def diff(step):
-            return (hurwitz_zeta(step, zz, wp) - hurwitz_zeta(-step, zz, wp)) / (
-                2 * step
-            )
-
-        d1 = diff(h)
-        d2 = diff(h / 2)
-        val = (4 * d2 - d1) / 3
+        val = mp.zeta(ss, zz)
     return _rounded(prec, val)

@@ -54,8 +54,6 @@ from .zetas import (
     GeodesicSource,
     ScatteringModel,
     ValueWithTail,
-    scattering_constants,
-    scattering_phi,
     selberg_log_z,
 )
 
@@ -79,7 +77,7 @@ class SurfaceContext:
     _logz_cache: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.constants = scattering_constants(self.scattering)
+        self.constants = self.scattering.constants()
         k_model = self.constants[0]
         k_rep = degree_of_singularity(self.orb.rep)
         if k_model != k_rep:
@@ -121,7 +119,7 @@ def z_minus(ctx: SurfaceContext, z):
     """Z-(z) = Z+(z) phi(z)."""
     with mp.workprec(ctx.prec + 8):
         return _rounded(
-            ctx.prec, z_plus(ctx, z) * scattering_phi(ctx.scattering, z, ctx.prec)
+            ctx.prec, z_plus(ctx, z) * ctx.scattering.phi(z, ctx.prec)
         )
 
 
@@ -174,7 +172,7 @@ def d_minus(ctx: SurfaceContext, z):
     with mp.workprec(ctx.prec + 16):
         w = to_scalar(z, ctx.prec + 16)
         val = mp.exp(_prefactor_minus(ctx, w) + _log_z_plus(ctx, w).value)
-        val *= scattering_phi(ctx.scattering, w, ctx.prec + 16)
+        val *= ctx.scattering.phi(w, ctx.prec + 16)
     return _rounded(ctx.prec, val)
 
 
@@ -191,13 +189,13 @@ def det_squared(ctx: SurfaceContext, z):
         )
         val = (
             mp.exp(pref + 2 * _log_z_plus(ctx, w).value)
-            * scattering_phi(ctx.scattering, w, ctx.prec + 16)
+            * ctx.scattering.phi(w, ctx.prec + 16)
         )
     return _rounded(ctx.prec, val)
 
 
 def phi_from_superzeta(ctx: SurfaceContext, z):
-    """pi^(k/2) exp(c1 z + c2) D-(z) / D+(z); recovers scattering_phi."""
+    """pi^(k/2) exp(c1 z + c2) D-(z) / D+(z); recovers ctx.scattering.phi."""
     _, c1, c2 = ctx.constants
     with mp.workprec(ctx.prec + 16):
         w = to_scalar(z, ctx.prec + 16)
@@ -242,7 +240,7 @@ class EulerProductProvider:
     def log_scattering_phi(self, z, prec: int):
         self._check(z)
         with mp.workprec(prec + 8):
-            return _rounded(prec, plog(scattering_phi(self.ctx.scattering, z, prec + 8)))
+            return _rounded(prec, plog(self.ctx.scattering.phi(z, prec + 8)))
 
 
 @dataclass

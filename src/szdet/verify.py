@@ -229,7 +229,7 @@ def suite_regdet(prec: int = 192) -> list[CheckResult]:
     with mp.workprec(prec + 8):
         ok = all(
             abs(regdet.phi_from_superzeta(ctx, z)
-                - zetas.scattering_phi(ctx.scattering, z, prec))
+                - ctx.scattering.phi(z, prec))
             / abs(regdet.phi_from_superzeta(ctx, z)) < tol
             for z in pts
         )

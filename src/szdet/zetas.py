@@ -19,6 +19,7 @@ Dirichlet-series model L(s) H(s) with user-supplied coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import NamedTuple, Optional, Protocol
 
 from mpmath import mp
@@ -337,10 +338,12 @@ class ModularScattering:
                 raise PoleError(f"modular scattering determinant pole at s = {s}")
             if _nonpositive_integer(z - mp.mpf(1) / 2) is not None:
                 raise PoleError(f"Gamma(s - 1/2) pole at s = {s}")
+            if _nonpositive_integer(z) is not None:
+                raise PoleError(f"Gamma(s) pole at s = {s}")
             val = (
                 mp.sqrt(mp.pi)
-                * gamma_value(z - mp.mpf(1) / 2, wp)
-                / gamma_value(z, wp)
+                * mp.gamma(z - mp.mpf(1) / 2)
+                / mp.gamma(z)
                 * riemann_zeta(2 * z - 1, wp)
                 / riemann_zeta(2 * z, wp)
             )
@@ -395,38 +398,9 @@ class GenericScattering:
 ScatteringModel = ModularScattering | GenericScattering
 
 
-def gamma_value(z, prec: int = DEFAULT_PREC):
-    """Gamma(z) as a value; handles the negative real axis by reflection."""
-    with mp.workprec(prec + 8):
-        w = to_scalar(z, prec + 8)
-        if _nonpositive_integer(w) is not None:
-            raise PoleError(f"Gamma pole at {z}")
-        if _is_real(w) and _real(w) < 0:
-            val = mp.pi / (mp.sinpi(w) * mp.exp(log_gamma(1 - w, prec + 8)))
-        else:
-            val = mp.exp(log_gamma(w, prec + 8))
-    return _rounded(prec, val)
-
-
-def scattering_phi(model: ScatteringModel, s, prec: int = DEFAULT_PREC):
-    """phi(s) under the selected model."""
-    return model.phi(s, prec)
-
-
-def scattering_constants(model: ScatteringModel):
-    """(k, c1, c2) as consumed by the regularized-determinant formulas."""
-    return model.constants()
-
-
 # ---------------------------------------------------------------------------
 # Independent conjugacy-class count (test oracle)
 # ---------------------------------------------------------------------------
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
 
 
 def _form_reduce_step(form, sq):
@@ -449,7 +423,7 @@ def _form_is_reduced(form, sq) -> bool:
 
 
 def _form_cycle_key(form, disc):
-    sq = _isqrt(disc)
+    sq = isqrt(disc)
     f = form
     seen = 0
     while not _form_is_reduced(f, sq):
@@ -483,9 +457,7 @@ def matrix_class_counts(tmax: int, entry_bound: int = 60) -> dict[int, int]:
                 continue
             prod = a * d - 1  # = b c
             if prod == 0:
-                for b, c in ((0, 0),):
-                    pass  # bc = 0 requires ad = 1, trace +-2: not hyperbolic
-                continue
+                continue  # bc = 0 requires ad = 1, trace +-2: not hyperbolic
             for b in _divisors_signed(prod, entry_bound):
                 c = prod // b
                 if abs(c) > entry_bound:
