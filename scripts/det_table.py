@@ -38,7 +38,7 @@ def main():
             z = mpf(args.zmin) + (mpf(args.zmax) - mpf(args.zmin)) * i / (args.steps - 1)
             ds = det_squared(ctx, z)
             dp, dm = d_plus(ctx, z), d_minus(ctx, z)
-            phi = ctx.scattering.phi(z, args.prec)
+            phi = ctx.point(z).phi
             resid = abs(ds - dp * dm) / abs(ds)
             print(",".join([
                 mp.nstr(z, 6), mp.nstr(ds, 20), mp.nstr(dp, 20),

@@ -43,13 +43,13 @@ from mpmath import mp, mpc, mpf
 from . import regdet, verify, zetas
 from .elliptic import m_n_floor, m_n_spectral
 from .errors import SZDetError
-from .gfuncs import log_g1
 from .numerics import DEFAULT_PREC, to_scalar
 from .orbifold import (
     CuspData,
     OrbifoldData,
     RepresentationData,
     Signature,
+    modular_orbifold,
     modular_signature,
     trivial_rep,
 )
@@ -232,6 +232,11 @@ def cmd_detsq(orb, scattering, z, prec: int, cutoff, fmt: str) -> str:
         raise DocumentError(
             "scattering: detsq needs a scattering model in the document"
         )
+    if orb != modular_orbifold(orb.dim):
+        raise DocumentError(
+            "geodesics: detsq enumerates geodesics only for the modular group "
+            "(0;1;2,3) with a trivial representation"
+        )
     with mp.workprec(prec + 8):
         zz = to_scalar(z, prec + 8)
         if (zz.real if isinstance(zz, mpc) else zz) <= 1:
@@ -240,26 +245,24 @@ def cmd_detsq(orb, scattering, z, prec: int, cutoff, fmt: str) -> str:
         orb, zetas.ModularGeodesicSource(dim=orb.dim), scattering,
         prec=prec, cutoff_norm=cutoff,
     )
+    point = ctx.point(z)
+    tail = point.log_z.tail_bound
     with mp.workprec(prec + 8):
-        logz = ctx.log_z(to_scalar(z, prec))
         det = regdet.det_squared(ctx, z)
         dp = regdet.d_plus(ctx, z)
         dm = regdet.d_minus(ctx, z)
-        phi = scattering.phi(z, prec)
-        g1 = mp.exp(log_g1(orb, to_scalar(z, prec + 8), prec))
         two_path = abs(det - dp * dm) / abs(det)
-        ok = two_path < mpf(2) ** (-prec // 2)
-    rows = [
-        ResultRow("det_squared", det, prec, tail=logz.tail_bound),
-        ResultRow("d_plus", dp, prec, tail=logz.tail_bound),
-        ResultRow("d_minus", dm, prec, tail=logz.tail_bound),
-        ResultRow("phi", phi, prec),
-        ResultRow("selberg_z_truncated", mp.exp(logz.value), prec, tail=logz.tail_bound),
-        ResultRow("g1", g1, prec),
-        ResultRow("log_z_tail_bound", logz.tail_bound, prec),
-        ResultRow("two_path_residual", two_path, prec),
-        ResultRow("two_path_ok", 1 if ok else 0, prec),
-    ]
+        rows = [
+            ResultRow("det_squared", det, prec, tail=tail),
+            ResultRow("d_plus", dp, prec, tail=tail),
+            ResultRow("d_minus", dm, prec, tail=tail),
+            ResultRow("phi", point.phi, prec),
+            ResultRow("selberg_z_truncated", mp.exp(point.log_z.value), prec, tail=tail),
+            ResultRow("g1", mp.exp(point.log_g1), prec),
+            ResultRow("log_z_tail_bound", tail, prec),
+            ResultRow("two_path_residual", two_path, prec),
+            ResultRow("two_path_ok", int(two_path < mpf(2) ** (-prec // 2)), prec),
+        ]
     return emit_table(rows, fmt, {"command": "detsq", "precision_bits": prec})
 
 

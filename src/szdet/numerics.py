@@ -21,7 +21,6 @@ plane plus the recursion ``G(z+1) = Gamma(z) G(z)``.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -119,36 +118,6 @@ class BernoulliTable:
 
 
 BERNOULLI = BernoulliTable()
-
-
-# ---------------------------------------------------------------------------
-# Remainder models for the asymptotic series
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RemainderBound:
-    """Engineering model C * |s|^e of an asymptotic-series remainder.
-
-    ``order`` is the truncation order m; ``decay_exponent`` is the negative
-    exponent of the O(s^e) remainder class.  The constant is estimated from
-    the first neglected term, not certified.
-    """
-
-    order: int
-    bound_constant: mpf
-    decay_exponent: int
-
-    def bound(self, s) -> mpf:
-        return self.bound_constant * abs(mp.mpmathify(s)) ** self.decay_exponent
-
-
-def barnes_remainder(u, n: int, prec: int = DEFAULT_PREC) -> RemainderBound:
-    """Remainder model for the Barnes expansion truncated before index n+1."""
-    with mp.workprec(prec):
-        a = abs(mp.mpmathify(u))
-        term = abs(frac_to_mpf(BERNOULLI.even(n + 1))) / (4 * n * (n + 1) * a ** (2 * n))
-        return RemainderBound(n + 1, +(term * a ** (2 * n + 2)), -(2 * n + 2))
 
 
 # ---------------------------------------------------------------------------

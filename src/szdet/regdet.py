@@ -22,9 +22,13 @@ Delta - z(1-z)I:
 The scattering determinant is recovered as
 phi(z) = pi^(k/2) exp(c1 z + c2) D-(z)/D+(z).
 
-Everything is evaluated on the Euler-product domain Re(z) > 1; values
-elsewhere require a caller-supplied continuation provider (this module never
-fabricates analytic continuation it cannot certify).  A generic "toy" Voros
+Everything is evaluated on the Euler-product domain Re(z) > 1.  Z+-, D+-,
+det^2 and the recovered phi at z are prefactor algebra over one memoized
+PointValues record (log Z, log G1, log Z+ and phi at z, each evaluated once);
+the three prefactors stay separate expressions, so det^2 = D+ D- and the phi
+recovery still test the b1, c1, c2 and k terms.  Values elsewhere require
+a caller-supplied continuation provider (this module never fabricates
+analytic continuation it cannot certify).  A generic "toy" Voros
 engine over an explicit zero list, with the Hurwitz zeta function as its
 oracle, lives at the bottom.
 """
@@ -58,13 +62,31 @@ from .zetas import (
 )
 
 
+@dataclass(frozen=True)
+class PointValues:
+    """The values at one point z that every product at z is built from.
+
+    ``z`` is the memo key (z rounded to the context precision); ``log_z`` is
+    the truncated Euler sum with its tail bound; ``log_z_plus`` is
+    log Z(z) - log G1(z) - k log Gamma(z - 1/2).  ``log_g1``, the gamma part
+    of ``log_z_plus`` and ``phi`` are evaluated with prec + 16 bits.
+    """
+
+    z: object
+    log_z: ValueWithTail
+    log_g1: object
+    log_z_plus: object
+    phi: object
+
+
 @dataclass
 class SurfaceContext:
     """Orbifold + geodesic source + scattering model, with derived constants.
 
     The degree of singularity implied by the scattering model must match the
     representation's, which is checked at construction.  Selberg log Z values
-    are memoized per evaluation point.
+    and the PointValues records are memoized per evaluation point, so each of
+    log Z, log G1 and phi is evaluated once per point.
     """
 
     orb: OrbifoldData
@@ -75,6 +97,7 @@ class SurfaceContext:
     coeffs: ExpansionCoefficients = field(init=False)
     constants: tuple = field(init=False)
     _logz_cache: dict = field(init=False, default_factory=dict, repr=False)
+    _point_cache: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.constants = self.scattering.constants()
@@ -99,28 +122,38 @@ class SurfaceContext:
             )
         return self._logz_cache[key]
 
+    def point(self, z) -> PointValues:
+        """The PointValues at z, keyed like ``log_z``; raises off Re(z) > 1."""
+        key = to_scalar(z, self.prec)
+        if key not in self._point_cache:
+            wp = self.prec + 16
+            with mp.workprec(wp):
+                lz = self.log_z(key)
+                lg1, gamma_part = _log_gamma_part(self, key, wp)
+                self._point_cache[key] = PointValues(
+                    key, lz, lg1, lz.value - gamma_part, self.scattering.phi(key, wp)
+                )
+        return self._point_cache[key]
 
-def _log_z_plus(ctx: SurfaceContext, z) -> ValueWithTail:
-    wp = ctx.prec + 16
-    with mp.workprec(wp):
-        w = to_scalar(z, wp)
-        lz, tail = ctx.log_z(w)
-        val = lz - log_g1(ctx.orb, w, wp) - ctx.k * log_gamma(w - mp.mpf(1) / 2, wp)
-    return ValueWithTail(_rounded(ctx.prec, val), tail)
+
+def _log_gamma_part(ctx: SurfaceContext, w, prec: int):
+    """(log G1(w), log G1(w) + k log Gamma(w - 1/2)), each with prec bits."""
+    lg1 = log_g1(ctx.orb, w, prec)
+    return lg1, lg1 + ctx.k * log_gamma(w - mp.mpf(1) / 2, prec)
 
 
 def z_plus(ctx: SurfaceContext, z):
     """Z+(z) = Z(z) / (G1(z) Gamma(z-1/2)^k) on Re(z) > 1."""
-    with mp.workprec(ctx.prec + 8):
-        return _rounded(ctx.prec, mp.exp(_log_z_plus(ctx, z).value))
+    v = ctx.point(z)
+    with mp.workprec(ctx.prec + 16):
+        return _rounded(ctx.prec, mp.exp(v.log_z_plus))
 
 
 def z_minus(ctx: SurfaceContext, z):
     """Z-(z) = Z+(z) phi(z)."""
-    with mp.workprec(ctx.prec + 8):
-        return _rounded(
-            ctx.prec, z_plus(ctx, z) * ctx.scattering.phi(z, ctx.prec)
-        )
+    v = ctx.point(z)
+    with mp.workprec(ctx.prec + 16):
+        return _rounded(ctx.prec, mp.exp(v.log_z_plus) * v.phi)
 
 
 def superzeta_zero_poly(ctx: SurfaceContext, sign: int) -> tuple[Fraction, Fraction, Fraction]:
@@ -159,46 +192,45 @@ def _prefactor_minus(ctx: SurfaceContext, w):
     )
 
 
+def _prefactor_det(ctx: SurfaceContext, w):
+    _, c1, c2 = ctx.constants
+    return (
+        (2 * ctx.coeffs.b1 - c1) * w
+        + 2 * ctx.coeffs.b0
+        + mp.mpf(ctx.k) / 2 * mp.log(4 * mp.pi)
+        - c2
+    )
+
+
 def d_plus(ctx: SurfaceContext, z):
     """D+(z) = exp(b1 z + b0 + (k/2) log 2pi) Z+(z)."""
+    v = ctx.point(z)
     with mp.workprec(ctx.prec + 16):
-        w = to_scalar(z, ctx.prec + 16)
-        val = mp.exp(_prefactor_plus(ctx, w) + _log_z_plus(ctx, w).value)
+        val = mp.exp(_prefactor_plus(ctx, v.z) + v.log_z_plus)
     return _rounded(ctx.prec, val)
 
 
 def d_minus(ctx: SurfaceContext, z):
     """D-(z) = exp((b1 - c1) z + b0 + (k/2) log 2 - c2) Z-(z)."""
+    v = ctx.point(z)
     with mp.workprec(ctx.prec + 16):
-        w = to_scalar(z, ctx.prec + 16)
-        val = mp.exp(_prefactor_minus(ctx, w) + _log_z_plus(ctx, w).value)
-        val *= ctx.scattering.phi(w, ctx.prec + 16)
+        val = mp.exp(_prefactor_minus(ctx, v.z) + v.log_z_plus) * v.phi
     return _rounded(ctx.prec, val)
 
 
 def det_squared(ctx: SurfaceContext, z):
     """det^2(Delta - z(1-z)I) by the explicit formula; equals D+ D-."""
-    _, c1, c2 = ctx.constants
+    v = ctx.point(z)
     with mp.workprec(ctx.prec + 16):
-        w = to_scalar(z, ctx.prec + 16)
-        pref = (
-            (2 * ctx.coeffs.b1 - c1) * w
-            + 2 * ctx.coeffs.b0
-            + mp.mpf(ctx.k) / 2 * mp.log(4 * mp.pi)
-            - c2
-        )
-        val = (
-            mp.exp(pref + 2 * _log_z_plus(ctx, w).value)
-            * ctx.scattering.phi(w, ctx.prec + 16)
-        )
+        val = mp.exp(_prefactor_det(ctx, v.z) + 2 * v.log_z_plus) * v.phi
     return _rounded(ctx.prec, val)
 
 
 def phi_from_superzeta(ctx: SurfaceContext, z):
     """pi^(k/2) exp(c1 z + c2) D-(z) / D+(z); recovers ctx.scattering.phi."""
     _, c1, c2 = ctx.constants
+    w = ctx.point(z).z
     with mp.workprec(ctx.prec + 16):
-        w = to_scalar(z, ctx.prec + 16)
         val = (
             mp.pi ** (mp.mpf(ctx.k) / 2)
             * mp.exp(c1 * w + c2)
@@ -235,60 +267,19 @@ class EulerProductProvider:
 
     def log_selberg_z(self, z, prec: int):
         self._check(z)
-        return self.ctx.log_z(to_scalar(z, prec)).value
+        return self.ctx.point(z).log_z.value
 
     def log_scattering_phi(self, z, prec: int):
         self._check(z)
         with mp.workprec(prec + 8):
-            return _rounded(prec, plog(self.ctx.scattering.phi(z, prec + 8)))
-
-
-@dataclass
-class TabulatedProvider:
-    """Values read from a continuation table, matched within a tolerance."""
-
-    rows: tuple  # of (z, log_z, log_phi)
-    tol: float = 1e-12
-
-    def _find(self, z, prec: int):
-        w = to_scalar(z, prec)
-        for zz, lz, lp in self.rows:
-            if abs(w - zz) <= self.tol:
-                return lz, lp
-        raise ProviderDomainError(f"no tabulated continuation data at z = {z}")
-
-    def log_selberg_z(self, z, prec: int):
-        return self._find(z, prec)[0]
-
-    def log_scattering_phi(self, z, prec: int):
-        return self._find(z, prec)[1]
-
-
-def load_continuation_table(path, prec: int = DEFAULT_PREC) -> TabulatedProvider:
-    """Lines: Re(z) Im(z) Re(logZ) Im(logZ) Re(logphi) Im(logphi)."""
-    rows = []
-    with mp.workprec(prec), open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            v = [mp.mpf(x) for x in line.split()]
-            rows.append((mp.mpc(v[0], v[1]), mp.mpc(v[2], v[3]), mp.mpc(v[4], v[5])))
-    return TabulatedProvider(rows=tuple(rows))
+            return _rounded(prec, plog(self.ctx.point(z).phi))
 
 
 def _log_dplus_dminus(ctx: SurfaceContext, w, provider, prec: int):
-    _, c1, c2 = ctx.constants
     log_z = provider.log_selberg_z(w, prec)
     log_phi = provider.log_scattering_phi(w, prec)
-    return (
-        (2 * ctx.coeffs.b1 - c1) * w
-        + 2 * ctx.coeffs.b0
-        + mp.mpf(ctx.k) / 2 * mp.log(4 * mp.pi)
-        - c2
-        + log_phi
-        + 2 * (log_z - log_g1(ctx.orb, w, prec) - ctx.k * log_gamma(w - mp.mpf(1) / 2, prec))
-    )
+    _, gamma_part = _log_gamma_part(ctx, w, prec)
+    return _prefactor_det(ctx, w) + log_phi + 2 * (log_z - gamma_part)
 
 
 def functional_symmetry_residual(ctx: SurfaceContext, z, provider: ContinuationProvider):
@@ -297,6 +288,11 @@ def functional_symmetry_residual(ctx: SurfaceContext, z, provider: ContinuationP
     tau = 2 b1 - c1 + 2 log a(chi).  Zero in exact arithmetic; evaluating the
     second term requires the provider to continue Z and phi to 1 - z, so the
     built-in Euler-product provider refuses for Re(z) > 1 by construction.
+
+    At real z > 1 the point 1 - z lies on the cut (-inf, 0] of log G1, so the
+    call cannot succeed with any provider: one that does supply values at
+    1 - z meets BranchError, or SingularityError at an integer z where
+    m_(z-1) != 0.
     """
     _, c1, _ = ctx.constants
     wp = ctx.prec + 16

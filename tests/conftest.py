@@ -1,11 +1,13 @@
 import random
+import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
+from szdet import gfuncs
 from szdet.orbifold import modular_orbifold
 from szdet.regdet import SurfaceContext
 from szdet.verify import random_orbifold
-from szdet.zetas import ModularGeodesicSource, ModularScattering
+from szdet.zetas import GenericScattering, ModularGeodesicSource, ModularScattering
 
 settings.register_profile(
     "suite",
@@ -36,3 +38,30 @@ def orbifold_pool():
     rng = random.Random(432100)
     return [random_orbifold(rng) for _ in range(60)]
 
+
+@pytest.fixture()
+def call_counts(monkeypatch):
+    """Counts of log_g1 and scattering phi calls made by the library.
+
+    Every binding of log_g1 in a loaded szdet module and the phi method of
+    each scattering model is replaced by a counting wrapper.
+    """
+    counts = {"log_g1": 0, "phi": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    original = gfuncs.log_g1
+    wrapper = counted("log_g1", original)
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "szdet" or name.startswith("szdet.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+    for cls in (ModularScattering, GenericScattering):
+        monkeypatch.setattr(cls, "phi", counted("phi", cls.phi))
+    return counts

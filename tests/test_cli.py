@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
+from mpmath import mp, mpf
 
 import szdet.cli as cli
 from szdet.numerics import BERNOULLI
+from szdet.zetas import ModularGeodesicSource, selberg_log_z
 
 
 MODULAR_DOC = {
@@ -88,6 +90,10 @@ def test_detsq_consistent(modular_doc, capsys):
     assert abs(det - dp * dm) < 1e-10 * abs(det)
     assert rows["det_squared"]["tail"] is not None
     assert rows["det_squared"]["certified_digits"] > 0
+    with mp.workprec(136):
+        want = mp.exp(selberg_log_z(ModularGeodesicSource(), 3, 500, 128).value)
+        got = mpf(rows["selberg_z_truncated"]["re"])
+        assert abs(got - want) < mpf(2) ** -120 * want
 
 
 def test_detsq_domain_error(modular_doc, capsys):
@@ -106,8 +112,6 @@ def test_detsq_precision_levels_agree(modular_doc, capsys):
         ])
         assert rc == 0
         outs.append(_rows(capsys.readouterr().out))
-    from mpmath import mp, mpf
-
     with mp.workprec(300):
         a = mpf(outs[0]["g1"]["re"])
         b = mpf(outs[1]["g1"]["re"])
@@ -195,6 +199,28 @@ def test_modular_scattering_requires_modular_signature(tmp_path, capsys):
     rc = cli.main(["detsq", "--orbifold", str(path), "--z", "3"])
     assert rc == 2
     assert "modular" in capsys.readouterr().err
+
+
+def test_detsq_evaluates_each_value_once(modular_doc, call_counts, capsys):
+    rc = cli.main([
+        "detsq", "--orbifold", modular_doc, "--z", "2.5,1",
+        "--prec", "64", "--cutoff-norm", "100",
+    ])
+    assert rc == 0
+    assert call_counts == {"log_g1": 1, "phi": 1}
+
+
+def test_detsq_refuses_non_modular_geodesics(tmp_path, capsys):
+    # detsq enumerates only the modular group's geodesics; a genus-1 surface
+    # with generic scattering used to get det^2 from them with exit code 0
+    terms = tmp_path / "terms.dat"
+    terms.write_text("1 0.3 -0.2\n2.5 0.1 0.05\n")
+    doc = dict(TORUS_DOC, scattering={"model": "generic", "file": str(terms)})
+    path = tmp_path / "torus_generic.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["detsq", "--orbifold", str(path), "--z", "3", "--cutoff-norm", "500"])
+    assert rc == 2
+    assert "geodesics" in capsys.readouterr().err
 
 
 def test_detsq_needs_scattering(torus_doc, capsys):

@@ -8,7 +8,6 @@ from mpmath import mp, mpc, mpf
 from szdet.errors import DomainError, PoleError, ZeroError
 from szdet.numerics import (
     BERNOULLI,
-    barnes_remainder,
     hurwitz_zeta,
     log_barnes_g,
     log_gamma,
@@ -221,10 +220,3 @@ def test_hurwitz_precision_doubling():
     a = hurwitz_zeta(mpc(3, 1), mpc("1.7", "0.3"), P)
     b = hurwitz_zeta(mpc(3, 1), mpc("1.7", "0.3"), 2 * P)
     assert abs(a - b) <= REL_TOL * (1 + abs(b))
-
-
-def test_remainder_bounds_monotone():
-    with mp.workprec(64):
-        rb = barnes_remainder(mpf(30), 4, 64)
-        assert rb.bound(30) >= rb.bound(90) > 0
-        assert rb.decay_exponent == -10

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from szdet.errors import ConvergenceError, CutError, ProviderDomainError, SignatureError
+from szdet.errors import (
+    BranchError,
+    ConvergenceError,
+    CutError,
+    ProviderDomainError,
+    SignatureError,
+    SingularityError,
+)
 from szdet.gfuncs import ExpansionCoefficients, log_g1
 from szdet.numerics import hurwitz_zeta, log_gamma
 from szdet.orbifold import (
@@ -25,7 +32,6 @@ from szdet.regdet import (
     d_plus,
     det_squared,
     functional_symmetry_residual,
-    load_continuation_table,
     phi_from_superzeta,
     superzeta_at_zero,
     superzeta_direct,
@@ -290,25 +296,45 @@ def test_synthetic_symmetric_provider(modular_ctx):
             assert abs(r) < mpf(2) ** (-P // 2)
 
 
-def test_tabulated_provider_roundtrip(modular_ctx, tmp_path):
-    with mp.workprec(P + 16):
-        z = mpc("0.3", "2")
-        prov = _SyntheticSymmetricProvider(modular_ctx, [z])
-        rows = []
-        for w in (z, 1 - z):
-            lz = prov.log_selberg_z(w, P)
-            rows.append((w, mp.mpc(lz), mp.mpc(0)))
-        path = tmp_path / "continuation.dat"
-        digits = int(P / 3.32) + 4
-        with open(path, "w") as fh:
-            for w, lz, lp in rows:
-                fh.write(" ".join(
-                    mp.nstr(x, digits)
-                    for x in (w.real, w.imag, lz.real, lz.imag, lp.real, lp.imag)
-                ) + "\n")
-        table = load_continuation_table(path, P)
-        r = functional_symmetry_residual(modular_ctx, z, table)
-        # residual limited by the decimal round-trip of the table entries
-        assert abs(r) < mpf(10) ** (-digits + 8)
-        with pytest.raises(ProviderDomainError):
-            table.log_selberg_z(mpf(9), P)
+class _ZeroProvider:
+    def log_selberg_z(self, w, prec):
+        return mp.mpf(0)
+
+    def log_scattering_phi(self, w, prec):
+        return mp.mpf(0)
+
+
+def test_symmetry_residual_at_real_z_meets_the_cut(modular_ctx):
+    # 1 - z lies on the cut of log G1, whatever the provider supplies there
+    with pytest.raises(BranchError):
+        functional_symmetry_residual(modular_ctx, mpf("3.5"), _ZeroProvider())
+    with pytest.raises(SingularityError):
+        functional_symmetry_residual(modular_ctx, mpf(3), _ZeroProvider())
+
+
+def _small_modular_ctx():
+    return SurfaceContext(
+        modular_orbifold(), ModularGeodesicSource(), ModularScattering(),
+        prec=64, cutoff_norm=100,
+    )
+
+
+def test_each_value_evaluated_once_per_point(call_counts):
+    ctx = _small_modular_ctx()
+    z = mpc("2.5", "1")
+    det_squared(ctx, z)
+    d_plus(ctx, z)
+    d_minus(ctx, z)
+    phi_from_superzeta(ctx, z)
+    assert call_counts == {"log_g1": 1, "phi": 1}
+
+
+def test_d_plus_continuous_on_vertical_line():
+    # G1 carries the power h vol / 2pi = 1/6 of Barnes G; a slip in the branch
+    # of that power would move a second difference of log D+ by about 1.
+    ctx = _small_modular_ctx()
+    with mp.workprec(64):
+        values = [d_plus(ctx, mpc(2, mpf(j) / 16)) for j in range(12 * 16 + 1)]
+        steps = [mp.log(b / a) for a, b in zip(values, values[1:])]
+        worst = max(abs(b - a) for a, b in zip(steps, steps[1:]))
+    assert worst < 0.1
