@@ -265,12 +265,6 @@ def log_g_qd(s, q: int, d: int, prec: int = DEFAULT_PREC):
     return _rounded(prec, val)
 
 
-def g_qd(s, q: int, d: int, prec: int = DEFAULT_PREC):
-    """G_{q,d}(s); an entire function with zero of order g(n,q,d) at -n."""
-    with mp.workprec(prec + 8):
-        return _rounded(prec, mp.exp(log_g_qd(s, q, d, prec + 8)))
-
-
 def order_g_qd_at(n: int, q: int, d: int) -> int:
     """Order of G_{q,d} at s = -n by exact divisor bookkeeping."""
     if n < 0:
@@ -296,11 +290,6 @@ def log_g_e(s, orb: OrbifoldData, prec: int = DEFAULT_PREC):
     return _rounded(prec, val)
 
 
-def g_e(s, orb: OrbifoldData, prec: int = DEFAULT_PREC):
-    with mp.workprec(prec + 8):
-        return _rounded(prec, mp.exp(log_g_e(s, orb, prec + 8)))
-
-
 def order_g_e_at(n: int, orb: OrbifoldData) -> int:
     return sum(
         order_g_qd_at(n, q, d) for d, qs in orb.elliptic_classes() for q in qs
@@ -321,11 +310,6 @@ def log_tilde_g1(s, orb: OrbifoldData, prec: int = DEFAULT_PREC):
         )
         val = -log_g_e(z, orb, prec + 16) + power * block
     return _rounded(prec, val)
-
-
-def tilde_g1(s, orb: OrbifoldData, prec: int = DEFAULT_PREC):
-    with mp.workprec(prec + 8):
-        return _rounded(prec, mp.exp(log_tilde_g1(s, orb, prec + 8)))
 
 
 def order_tilde_g1_at(n: int, orb: OrbifoldData) -> int:

@@ -20,9 +20,7 @@ plane plus the recursion ``G(z+1) = Gamma(z) G(z)``.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
-from math import comb
 
 from mpmath import mp, mpc, mpf
 
@@ -79,48 +77,6 @@ def plog(z):
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers
-# ---------------------------------------------------------------------------
-
-
-class BernoulliTable:
-    """Exact Bernoulli numbers B_0, B_1, B_2, ... grown on demand.
-
-    Uses the defining convolution recursion
-    ``sum_{k=0}^{m} C(m+1, k) B_k = 0`` (m >= 1) in exact rational
-    arithmetic.  The per-process instance is guarded by a lock so lazily
-    growing the table is safe under concurrent readers.
-    """
-
-    def __init__(self):
-        self._values = [Fraction(1), Fraction(-1, 2)]
-        self._lock = threading.Lock()
-
-    def value(self, n: int) -> Fraction:
-        if n < 0:
-            raise DomainError("Bernoulli index must be nonnegative")
-        with self._lock:
-            while len(self._values) <= n:
-                m = len(self._values)
-                acc = sum(
-                    Fraction(comb(m + 1, k)) * self._values[k] for k in range(m)
-                )
-                self._values.append(-acc / (m + 1))
-            return self._values[n]
-
-    def even(self, j: int) -> Fraction:
-        """B_{2j}."""
-        return self.value(2 * j)
-
-    def recursion_residual(self, m: int) -> Fraction:
-        """sum_{k=0}^{m} C(m+1,k) B_k, which must vanish for m >= 1."""
-        return sum(Fraction(comb(m + 1, k)) * self.value(k) for k in range(m + 1))
-
-
-BERNOULLI = BernoulliTable()
-
-
-# ---------------------------------------------------------------------------
 # log Gamma
 # ---------------------------------------------------------------------------
 
@@ -150,9 +106,9 @@ def log_gamma(z, prec: int = DEFAULT_PREC):
 def _barnes_tail(u, wp: int):
     """sum_{k>=1} B_{2k+2} / (4 k (k+1) u^{2k}), adaptively truncated.
 
-    Signed Bernoulli numbers with a leading plus: the k=1 and k=2 terms of
-    this convention are the unique choice matching independent
-    high-precision oracles for log G(s+1).
+    Signed Bernoulli numbers with a leading plus (``mp.bernoulli`` at the
+    working precision): the k=1 and k=2 terms of this convention are the
+    unique choice matching independent high-precision oracles for log G(s+1).
     """
     eps = mpf(2) ** (-(wp + 4))
     u2 = u * u
@@ -161,7 +117,7 @@ def _barnes_tail(u, wp: int):
     last = mp.inf
     k = 1
     while True:
-        term = frac_to_mpf(BERNOULLI.even(k + 1)) / (4 * k * (k + 1)) * pw
+        term = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1)) * pw
         mag = abs(term)
         if mag > last:
             raise PrecisionError(

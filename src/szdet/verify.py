@@ -112,15 +112,6 @@ def suite_elliptic(prec: int = 192) -> list[CheckResult]:
 
 def suite_special(prec: int = 192) -> list[CheckResult]:
     out = []
-    ok = all(
-        numerics.BERNOULLI.recursion_residual(m) == 0 for m in range(1, 41)
-    )
-    b_ok = (
-        numerics.BERNOULLI.value(2) == Fraction(1, 6)
-        and numerics.BERNOULLI.value(4) == Fraction(-1, 30)
-    )
-    out.append(_check("Bernoulli convolution recursion (m <= 40)", ok and b_ok))
-
     rng = random.Random(7)
     tol = mpf(2) ** (20 - prec)
     with mp.workprec(prec + 8):
@@ -196,7 +187,7 @@ def suite_scattering(prec: int = 192) -> list[CheckResult]:
     with mp.workprec(prec + 8):
         vals = [abs(zetas.selberg_log_z(src, mpf(s), 2000, prec).value)
                 for s in (4, 6, 8)]
-        alpha = mp.sqrt(zetas.smallest_modular_norm(prec))
+        alpha = mp.sqrt(zetas.norm_of_trace(3, prec))
         ratios = [vals[i] / vals[i + 1] for i in range(2)]
         # O(alpha^-Re s) is an upper bound (the observed rate is the sharper
         # N0^-Re s): the decay must be geometric (consistent step ratios)

@@ -5,11 +5,13 @@ enumerated as canonical cyclic words in the parabolic generators
 L = [[1,1],[0,1]] and R = [[1,0],[1,1]] (pure powers of one letter are
 parabolic and excluded).  Canonical form = lexicographically minimal
 rotation; a word is primitive when it is not a proper power.  Norms are
-N(P0) = ((t + sqrt(t^2-4))/2)^2 with t the integer trace.
+N(P0) = ((t + sqrt(t^2-4))/2)^2 with t the integer trace, so classes carry
+no norm, a norm cutoff is a trace bound and classes are sorted by trace.
 
 log Z(s) = - sum over primitive classes P0 and powers l >= 1 of
 tr chi(P0^l) / (l (1 - N(P0)^-l) N(P0)^{l s}), absolutely convergent for
-Re(s) > 1; evaluations carry an explicit truncation tail estimate.
+Re(s) > 1; it is summed as one norm series per trace, and evaluations carry
+an explicit truncation tail estimate.
 
 Scattering determinants come in two flavours: the built-in modular closed
 form sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)) and a generic
@@ -19,6 +21,7 @@ Dirichlet-series model L(s) H(s) with user-supplied coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from math import isqrt
 from typing import NamedTuple, Optional, Protocol
 
@@ -100,10 +103,6 @@ def norm_of_trace(t: int, prec: int = DEFAULT_PREC):
         return _rounded(prec, lam * lam)
 
 
-def smallest_modular_norm(prec: int = DEFAULT_PREC):
-    return norm_of_trace(3, prec)
-
-
 @dataclass(frozen=True)
 class GeodesicClass:
     """A primitive hyperbolic conjugacy class with its character data.
@@ -114,7 +113,6 @@ class GeodesicClass:
 
     word: str
     trace: int
-    norm: object
     chi: tuple = ("trivial", 1)
 
     def chi_trace(self, ell: int):
@@ -134,7 +132,8 @@ class GeodesicClass:
 
 
 class GeodesicSource(Protocol):
-    """Complete, duplicate-free, deterministically ordered enumeration."""
+    """Complete, duplicate-free classes with norm <= cutoff, sorted by
+    (trace, word): log Z sums one norm series per run of equal traces."""
 
     dim: int
 
@@ -228,7 +227,7 @@ def modular_geodesics(
     if tmax < 3:
         raise CutoffError(
             f"cutoff {norm_cutoff} below the smallest norm "
-            f"{smallest_modular_norm(53)}"
+            f"{norm_of_trace(3, 53)}"
         )
     classes = []
     for tr, w in _modular_words_up_to_trace(tmax):
@@ -236,27 +235,25 @@ def modular_geodesics(
             chi = ("trivial", dim)
         else:
             chi = ("eigs", _chi_eigs_for_word(w, rep, prec))
-        classes.append(
-            GeodesicClass(word=w, trace=tr, norm=norm_of_trace(tr, prec), chi=chi)
-        )
+        classes.append(GeodesicClass(word=w, trace=tr, chi=chi))
     return classes
 
 
 @dataclass
 class ModularGeodesicSource:
-    """Cached enumeration of modular-group classes."""
+    """Cached enumeration of modular-group classes, keyed by trace bound."""
 
     rep: Optional[tuple] = None
     dim: int = 1
     _cache: dict = field(default_factory=dict, repr=False)
 
     def classes(self, norm_cutoff, prec: int = DEFAULT_PREC):
-        key = (str(to_scalar(norm_cutoff, 64)), prec)
-        if key not in self._cache:
-            self._cache[key] = modular_geodesics(
+        tmax = _max_trace_for_cutoff(norm_cutoff, prec)
+        if tmax not in self._cache:
+            self._cache[tmax] = modular_geodesics(
                 norm_cutoff, rep=self.rep, dim=self.dim, prec=prec
             )
-        return self._cache[key]
+        return self._cache[tmax]
 
 
 @dataclass
@@ -267,12 +264,9 @@ class ListGeodesicSource:
     dim: int = 1
 
     def classes(self, norm_cutoff, prec: int = DEFAULT_PREC):
-        with mp.workprec(prec + 8):
-            x = to_scalar(norm_cutoff, prec + 8)
-            kept = [
-                c for c in self.entries if norm_of_trace(c.trace, prec + 8) <= x
-            ]
-        return sorted(kept, key=lambda c: (c.trace, c.word))
+        tmax = _max_trace_for_cutoff(norm_cutoff, prec)
+        return sorted((c for c in self.entries if c.trace <= tmax),
+                      key=lambda c: (c.trace, c.word))
 
 
 class ValueWithTail(NamedTuple):
@@ -285,8 +279,10 @@ def selberg_log_z(
 ) -> ValueWithTail:
     """Truncated log Z(s) over classes with norm <= cutoff, plus tail bound.
 
-    The tail estimate covers the classes beyond the cutoff (via the geodesic
-    counting function, with a safety factor) and the truncated l-powers.
+    Each trace contributes one series in its norm N, weighted by the sum of
+    tr chi(P0^l) over the trace's classes.  The tail estimate covers the
+    classes beyond the cutoff (via the geodesic counting function, with a
+    safety factor) and the truncated l-powers.
     """
     wp = prec + 16
     with mp.workprec(wp):
@@ -295,14 +291,16 @@ def selberg_log_z(
         if sigma <= 1:
             raise ConvergenceError("Euler product requires Re(s) > 1")
         total = mp.mpf(0)
-        for cls in source.classes(cutoff, prec):
-            n0 = norm_of_trace(cls.trace, wp)
+        for trace, group in groupby(source.classes(cutoff, prec), lambda c: c.trace):
+            group = list(group)
+            n0 = norm_of_trace(trace, wp)
             log_n0 = mp.log(n0)
             lmax = max(1, int(mp.ceil((wp + 10) * mp.log(2) / (sigma * log_n0))))
             npow = n0 ** (-z)
             nl = npow
             for ell in range(1, lmax + 1):
-                total -= cls.chi_trace(ell) * nl / (ell * (1 - n0 ** (-ell)))
+                chi = mp.fsum(c.chi_trace(ell) for c in group)
+                total -= chi * nl / (ell * (1 - n0 ** (-ell)))
                 nl *= npow
         x = to_scalar(cutoff, wp)
         tail = (
@@ -500,6 +498,8 @@ def save_geodesic_table(path, classes, prec: int = DEFAULT_PREC, l_max: int = 8)
     """One record per class: word, trace, norm, chi traces (tab-separated)."""
     with mp.workprec(prec), open(path, "w") as fh:
         digits = int(prec / 3.32) + 2
+        norms = {t: mp.nstr(norm_of_trace(t, prec), digits)
+                 for t in {cls.trace for cls in classes}}
         for cls in classes:
             traces = []
             for ell in range(1, l_max + 1):
@@ -508,29 +508,28 @@ def save_geodesic_table(path, classes, prec: int = DEFAULT_PREC, l_max: int = 8)
                     f"{mp.nstr(v.real, digits)},{mp.nstr(v.imag, digits)}"
                 )
             fh.write(
-                "\t".join(
-                    [cls.word, str(cls.trace), mp.nstr(mp.mpf(cls.norm), digits)]
-                    + traces
-                )
+                "\t".join([cls.word, str(cls.trace), norms[cls.trace]] + traces)
                 + "\n"
             )
 
 
 def load_geodesic_table(path, dim: int = 1, prec: int = DEFAULT_PREC) -> ListGeodesicSource:
+    """Read save_geodesic_table's format; the norm column is parsed, not kept."""
     entries = []
     with mp.workprec(prec), open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            word, trace, norm = fields[0], int(fields[1]), mp.mpf(fields[2])
+            if len(fields) < 3:
+                raise DomainError(f"{path} line {lineno}: expected word, trace "
+                                  f"and norm, got {line!r}")
+            word, trace, _ = fields[0], int(fields[1]), mp.mpf(fields[2])
             table = tuple(
                 mp.mpc(*[mp.mpf(p) for p in f.split(",")]) for f in fields[3:]
             )
-            entries.append(
-                GeodesicClass(word=word, trace=trace, norm=norm, chi=("table", table))
-            )
+            entries.append(GeodesicClass(word=word, trace=trace, chi=("table", table)))
     return ListGeodesicSource(entries=tuple(entries), dim=dim)
 
 
@@ -551,15 +550,15 @@ def save_generic_scattering(path, model: GenericScattering, prec: int = DEFAULT_
 
 def load_generic_scattering(path, prec: int = DEFAULT_PREC) -> GenericScattering:
     with mp.workprec(prec), open(path) as fh:
-        lines = [
-            ln.strip() for ln in fh if ln.strip() and not ln.strip().startswith("#")
-        ]
-    if not lines:
-        raise DomainError(f"empty scattering data file {path}")
-    head = lines[0].split()
-    k, c1, c2 = int(head[0]), mp.mpf(head[1]), mp.mpf(head[2])
-    terms = []
-    for ln in lines[1:]:
-        u, re_a, im_a = ln.split()
-        terms.append((mp.mpf(u), mp.mpc(mp.mpf(re_a), mp.mpf(im_a))))
+        lines = [(n, ln.split()) for n, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.strip().startswith("#")]
+        if not lines:
+            raise DomainError(f"empty scattering data file {path}")
+        n, head = lines[0]
+        if len(head) < 3:
+            raise DomainError(f"{path} line {n}: header needs 'k c1 c2'")
+        k, c1, c2 = int(head[0]), mp.mpf(head[1]), mp.mpf(head[2])
+        terms = []
+        for _, (u, re_a, im_a) in lines[1:]:
+            terms.append((mp.mpf(u), mp.mpc(mp.mpf(re_a), mp.mpf(im_a))))
     return GenericScattering(k=k, c1=c1, c2=c2, terms=tuple(terms))

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 from hypothesis import HealthCheck, settings
-from szdet import gfuncs
+from szdet import gfuncs, zetas
 from szdet.orbifold import modular_orbifold
 from szdet.regdet import SurfaceContext
 from szdet.verify import random_orbifold
@@ -39,6 +39,15 @@ def orbifold_pool():
     return [random_orbifold(rng) for _ in range(60)]
 
 
+def rebind(monkeypatch, original, replacement):
+    """Replace every binding of ``original`` in the loaded szdet modules."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "szdet" or name.startswith("szdet.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.fixture()
 def call_counts(monkeypatch):
     """Counts of log_g1 and scattering phi calls made by the library.
@@ -55,13 +64,22 @@ def call_counts(monkeypatch):
 
         return wrapper
 
-    original = gfuncs.log_g1
-    wrapper = counted("log_g1", original)
-    for name, module in list(sys.modules.items()):
-        if module is not None and (name == "szdet" or name.startswith("szdet.")):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, wrapper)
+    rebind(monkeypatch, gfuncs.log_g1, counted("log_g1", gfuncs.log_g1))
     for cls in (ModularScattering, GenericScattering):
         monkeypatch.setattr(cls, "phi", counted("phi", cls.phi))
     return counts
+
+
+@pytest.fixture()
+def norm_calls(monkeypatch):
+    """Traces passed to norm_of_trace through any binding in the library."""
+    calls = []
+    original = zetas.norm_of_trace
+
+    def wrapper(t, *args, **kwargs):
+        calls.append(t)
+        return original(t, *args, **kwargs)
+
+    rebind(monkeypatch, original, wrapper)
+    return calls
+

@@ -60,8 +60,8 @@ from szdet.zetas import (
     ModularScattering,
     matrix_class_counts,
     necklace_counts_by_trace,
+    norm_of_trace,
     selberg_log_z,
-    smallest_modular_norm,
 )
 
 P = 256
@@ -244,7 +244,7 @@ def test_c09_geodesic_enumeration_and_decay():
     with mp.workprec(P + 16):
         vals = [abs(selberg_log_z(src, mpf(s), 3000, P).value) for s in (4, 6, 8)]
         ratios = [vals[i] / vals[i + 1] for i in range(2)]
-        alpha = mp.sqrt(smallest_modular_norm(P))
+        alpha = mp.sqrt(norm_of_trace(3, P))
         # geometric decay, at least as fast as the alpha^-Re(s) bound
         assert ratios[0] / 2 < ratios[1] < ratios[0] * 2
         assert all(r > alpha**2 for r in ratios)

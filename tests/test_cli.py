@@ -1,11 +1,10 @@
 import json
-from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 import szdet.cli as cli
-from szdet.numerics import BERNOULLI
+from szdet import numerics
 from szdet.zetas import ModularGeodesicSource, selberg_log_z
 
 
@@ -155,14 +154,17 @@ def test_verify_unknown_suite(capsys):
     assert rc == 64
 
 
-def test_verify_corrupted_bernoulli_cache(capsys):
-    BERNOULLI.value(10)
-    saved = BERNOULLI._values[4]
-    BERNOULLI._values[4] = Fraction(1, 31)
-    try:
-        rc = cli.main(["verify", "special", "--prec", "128"])
-    finally:
-        BERNOULLI._values[4] = saved
+def test_verify_corrupted_bernoulli_cache(monkeypatch, capsys):
+    # A wrong Bernoulli number shows up as a z-dependent error in log G; a
+    # constant offset would cancel in the recursion check.
+    original = numerics.log_barnes_g
+
+    def corrupted(z, prec=256):
+        with mp.workprec(prec + 8):
+            return original(z, prec) + mpf(2) ** -60 * z
+
+    monkeypatch.setattr(numerics, "log_barnes_g", corrupted)
+    rc = cli.main(["verify", "special", "--prec", "128"])
     assert rc != 0
     assert "[FAIL]" in capsys.readouterr().out
 
@@ -221,6 +223,17 @@ def test_detsq_refuses_non_modular_geodesics(tmp_path, capsys):
     rc = cli.main(["detsq", "--orbifold", str(path), "--z", "3", "--cutoff-norm", "500"])
     assert rc == 2
     assert "geodesics" in capsys.readouterr().err
+
+
+def test_malformed_scattering_header_is_a_document_error(tmp_path, capsys):
+    terms = tmp_path / "terms.dat"
+    terms.write_text("1 0\n")
+    doc = dict(TORUS_DOC, scattering={"model": "generic", "file": str(terms)})
+    path = tmp_path / "torus_generic.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["mn", "--orbifold", str(path)])
+    assert rc == 2
+    assert "scattering.file" in capsys.readouterr().err
 
 
 def test_detsq_needs_scattering(torus_doc, capsys):

@@ -1,13 +1,11 @@
 import mpmath
 import pytest
-from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from szdet.errors import DomainError, PoleError, ZeroError
 from szdet.numerics import (
-    BERNOULLI,
     hurwitz_zeta,
     log_barnes_g,
     log_gamma,
@@ -191,13 +189,6 @@ def test_branch_is_continuation_from_positive_axis():
     z = mpc(3, 50)
     assert abs(log_gamma(z, P).imag - mpf("149.4664983780")) < mpf(10) ** -9
     assert abs(log_barnes_g(z, P).imag - mpf("-1623.3588190424")) < mpf(10) ** -9
-
-
-def test_bernoulli_table():
-    assert BERNOULLI.even(1) == Fraction(1, 6)
-    assert BERNOULLI.even(2) == Fraction(-1, 30)
-    for m in range(1, 61):
-        assert BERNOULLI.recursion_residual(m) == 0
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
+
+from szdet.zetas import load_geodesic_table, modular_geodesics, norm_of_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -19,3 +22,24 @@ def test_script_help(script):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_geodesic_census_round_trip(tmp_path):
+    table = tmp_path / "geodesics.tsv"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "geodesic_census.py"),
+         "--cutoff", "200", "--check-trace", "8", "--save", str(table)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "MATCH" in proc.stdout and "MISMATCH" not in proc.stdout
+    expected = [(c.word, c.trace) for c in modular_geodesics(200, prec=128)]
+    loaded = load_geodesic_table(table, prec=128)
+    assert [(c.word, c.trace) for c in loaded.entries] == expected
+    digits = int(128 / 3.32) + 2  # as written by save_geodesic_table
+    with mp.workprec(128):
+        for line in table.read_text().splitlines():
+            _, trace, norm = line.split("\t")[:3]
+            exact = norm_of_trace(int(trace), 128)
+            assert abs(mpf(norm) - exact) <= mpf(10) ** (1 - digits) * exact

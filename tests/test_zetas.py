@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from szdet.errors import ConvergenceError, CutoffError, PoleError
+from szdet.errors import ConvergenceError, CutoffError, DomainError, PoleError
 from szdet.numerics import riemann_zeta
 from szdet.zetas import (
     GenericScattering,
@@ -57,7 +57,7 @@ def test_smallest_class():
     assert cl[0].word == "LR" and cl[0].trace == 3
     with mp.workprec(160):
         expect = (7 + 3 * mp.sqrt(5)) / 2
-        assert abs(cl[0].norm - expect) < mpf(2) ** -120
+        assert abs(norm_of_trace(cl[0].trace, 128) - expect) < mpf(2) ** -120
     with pytest.raises(CutoffError):
         modular_geodesics(6, prec=128)
 
@@ -116,7 +116,7 @@ def test_selberg_chi_table_source():
     classes = src.classes(100, P)
     tabled = ListGeodesicSource(
         entries=tuple(
-            GeodesicClass(c.word, c.trace, c.norm,
+            GeodesicClass(c.word, c.trace,
                           ("table", tuple(c.chi_trace(l) for l in range(1, 64))))
             for c in classes
         )
@@ -124,6 +124,78 @@ def test_selberg_chi_table_source():
     a = selberg_log_z(src, mpf(4), 100, 128)
     b = selberg_log_z(tabled, mpf(4), 100, 128)
     assert abs(a.value - b.value) < mpf(2) ** -100
+
+
+def _per_class_log_z(classes, s, prec):
+    """log Z summed class by class, each with its own norm series."""
+    wp = prec + 16
+    with mp.workprec(wp):
+        z = mp.mpmathify(s)
+        sigma = mp.re(z)
+        total = mpf(0)
+        for cls in classes:
+            n0 = norm_of_trace(cls.trace, wp)
+            lmax = max(1, int(mp.ceil((wp + 10) * mp.log(2) / (sigma * mp.log(n0)))))
+            for ell in range(1, lmax + 1):
+                total -= cls.chi_trace(ell) * n0 ** (-ell * z) / (ell * (1 - n0 ** (-ell)))
+        return total
+
+
+def _twisted_table(classes, powers=64):
+    # chi(L) = omega, chi(R) = omega^-1, so tr chi(P^l) = omega^(l (#L - #R))
+    omega = mp.expjpi(mpf(1) / 3)
+    return ListGeodesicSource(entries=tuple(
+        GeodesicClass(c.word, c.trace, ("table", tuple(
+            omega ** (ell * (c.word.count("L") - c.word.count("R")))
+            for ell in range(1, powers + 1))))
+        for c in classes
+    ))
+
+
+def test_euler_sum_matches_per_class_reference():
+    prec, cutoff = 128, 500
+
+    def tol(ref):
+        return mpf(2) ** (8 - prec) * (1 + abs(ref))
+
+    src = ModularGeodesicSource()
+    z = mpc("2.5", 1)
+    ref = _per_class_log_z(src.classes(cutoff, prec), z, prec)
+    assert abs(selberg_log_z(src, z, cutoff, prec).value - ref) < tol(ref)
+    with mp.workprec(prec + 16):
+        table = _twisted_table(modular_geodesics(cutoff, prec=prec))
+    for z in (mpf("2.5"), mpc(3, -1)):
+        ref = _per_class_log_z(table.entries, z, prec)
+        assert abs(selberg_log_z(table, z, cutoff, prec).value - ref) < tol(ref)
+
+
+def test_euler_sum_evaluates_one_norm_per_trace(norm_calls):
+    src = ModularGeodesicSource()
+    classes = src.classes(2000, 128)
+    assert (len(classes), len({c.trace for c in classes})) == (285, 42)
+    norm_calls.clear()
+    selberg_log_z(src, mpc(3, 1), 2000, 128)
+    assert len(norm_calls) <= 45  # a per-class sum makes 285
+
+
+def test_cutoff_boundary_is_one_rule_for_both_sources():
+    with mp.workprec(200):
+        listed = ListGeodesicSource(
+            entries=tuple(modular_geodesics(norm_of_trace(41, 200), prec=128))
+        )
+        for t in (3, 12, 40):
+            n = norm_of_trace(t, 200)
+            for cutoff, included in ((n * (1 + mpf(2) ** -100), True),
+                                     (n * (1 - mpf(2) ** -100), False)):
+                kept = [(c.word, c.trace) for c in listed.classes(cutoff, 128)]
+                assert (t in {tr for _, tr in kept}) == included
+                if not kept:
+                    with pytest.raises(CutoffError):
+                        ModularGeodesicSource().classes(cutoff, 128)
+                    continue
+                enumerated = ModularGeodesicSource().classes(cutoff, 128)
+                assert [(c.word, c.trace) for c in enumerated] == kept
+                assert max(tr for _, tr in kept) == (t if included else t - 1)
 
 
 def test_modular_phi_value():
@@ -209,6 +281,21 @@ def test_geodesic_table_roundtrip(tmp_path):
     a = selberg_log_z(src, mpf(5), 60, 96)
     b = selberg_log_z(loaded, mpf(5), 60, 96)
     assert abs(a.value - b.value) < mpf(2) ** -80
+
+
+def test_short_table_line_is_a_domain_error(tmp_path):
+    path = tmp_path / "geodesics.tsv"
+    path.write_text("LR\t3\t6.854\t1,0\nLLR\t4\n")
+    with pytest.raises(DomainError, match="line 2"):
+        load_geodesic_table(path)
+
+
+def test_generic_scattering_parsed_at_working_precision(tmp_path):
+    path = tmp_path / "scattering.dat"
+    path.write_text("1 0.1 0.2\n1.5 0.3 0\n")
+    g = load_generic_scattering(path, prec=256)
+    with mp.workprec(256):
+        assert g.c1 == mpf("0.1") and g.terms[0][1] == mpf("0.3")
 
 
 def test_generic_scattering_roundtrip(tmp_path):
