@@ -216,15 +216,13 @@ def cmd_mn(orb: OrbifoldData, n_max: int, prec: int, fmt: str) -> str:
 
 
 def _parse_z(text: str):
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return mpf(parts[0])
-        if len(parts) == 2:
-            return mpc(mpf(parts[0]), mpf(parts[1]))
+        parts = [mpf(p) for p in text.split(",")]
     except ValueError:
-        pass
-    raise UsageError(f"cannot parse --z value {text!r}; use RE or RE,IM")
+        parts = []
+    if 1 <= len(parts) <= 2 and all(mp.isfinite(p) for p in parts):
+        return parts[0] if len(parts) == 1 else mpc(*parts)
+    raise UsageError(f"cannot parse --z value {text!r}; use finite RE or RE,IM")
 
 
 def cmd_detsq(orb, scattering, z, prec: int, cutoff, fmt: str) -> str:

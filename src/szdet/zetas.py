@@ -11,7 +11,10 @@ no norm, a norm cutoff is a trace bound and classes are sorted by trace.
 log Z(s) = - sum over primitive classes P0 and powers l >= 1 of
 tr chi(P0^l) / (l (1 - N(P0)^-l) N(P0)^{l s}), absolutely convergent for
 Re(s) > 1; it is summed as one norm series per trace, and evaluations carry
-an explicit truncation tail estimate.
+an explicit truncation tail estimate.  The series' z-independent terms (per
+trace: N, log N and the character-weighted coefficients of N^(-ls)) are
+built by the first log Z call for a (trace bound, precision) pair and kept
+on the geodesic source, so a later call costs one exp per trace.
 
 Scattering determinants come in two flavours: the built-in modular closed
 form sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)) and a generic
@@ -133,9 +136,15 @@ class GeodesicClass:
 
 class GeodesicSource(Protocol):
     """Complete, duplicate-free classes with norm <= cutoff, sorted by
-    (trace, word): log Z sums one norm series per run of equal traces."""
+    (trace, word): log Z sums one norm series per run of equal traces.
+
+    ``_terms`` belongs to ``selberg_log_z``: its first call per (trace bound,
+    prec) stores there the z-independent terms of each trace's series, and
+    later calls with that key read no class.
+    """
 
     dim: int
+    _terms: dict
 
     def classes(self, norm_cutoff, prec: int) -> list[GeodesicClass]: ...
 
@@ -143,8 +152,11 @@ class GeodesicSource(Protocol):
 def _max_trace_for_cutoff(norm_cutoff, prec: int) -> int:
     with mp.workprec(prec + 16):
         x = to_scalar(norm_cutoff, prec + 16)
-        t = int(mp.floor(mp.sqrt(x))) + 2
-        while t >= 3 and norm_of_trace(t, prec + 16) > x:
+        if not mp.isfinite(x):
+            raise CutoffError(f"norm cutoff must be finite, got {norm_cutoff}")
+        # N(t) = t^2 - 2 - 1/N(t), so s = floor(sqrt x) has N(s) < x < N(s + 2)
+        t = int(mp.floor(mp.sqrt(max(x, 0)))) + 1
+        if t >= 3 and norm_of_trace(t, prec + 16) > x:
             t -= 1
         return t  # < 3 when no class fits
 
@@ -246,6 +258,7 @@ class ModularGeodesicSource:
     rep: Optional[tuple] = None
     dim: int = 1
     _cache: dict = field(default_factory=dict, repr=False)
+    _terms: dict = field(default_factory=dict, compare=False, repr=False)
 
     def classes(self, norm_cutoff, prec: int = DEFAULT_PREC):
         tmax = _max_trace_for_cutoff(norm_cutoff, prec)
@@ -262,6 +275,7 @@ class ListGeodesicSource:
 
     entries: tuple
     dim: int = 1
+    _terms: dict = field(default_factory=dict, compare=False, repr=False)
 
     def classes(self, norm_cutoff, prec: int = DEFAULT_PREC):
         tmax = _max_trace_for_cutoff(norm_cutoff, prec)
@@ -274,34 +288,55 @@ class ValueWithTail(NamedTuple):
     tail_bound: object
 
 
+class _TraceTerms:
+    """The z-independent part of one trace's norm series in log Z: N, log N
+    and c_l = (sum of tr chi(P0^l) over the trace's classes) / (l (1 - N^-l)),
+    built on demand up to the most powers a call has needed."""
+
+    def __init__(self, trace: int, classes: list, wp: int):
+        self.classes, self.coeffs = classes, []
+        self.norm = norm_of_trace(trace, wp)
+        self.log_norm = mp.log(self.norm)
+
+    def coefficients(self, lmax: int) -> list:
+        for ell in range(len(self.coeffs) + 1, lmax + 1):
+            chi = mp.fsum(c.chi_trace(ell) for c in self.classes)
+            self.coeffs.append(chi / (ell * (1 - self.norm ** (-ell))))
+        return self.coeffs[:lmax]
+
+
 def selberg_log_z(
     source: GeodesicSource, s, cutoff, prec: int = DEFAULT_PREC
 ) -> ValueWithTail:
     """Truncated log Z(s) over classes with norm <= cutoff, plus tail bound.
 
     Each trace contributes one series in its norm N, weighted by the sum of
-    tr chi(P0^l) over the trace's classes.  The tail estimate covers the
-    classes beyond the cutoff (via the geodesic counting function, with a
-    safety factor) and the truncated l-powers.
+    tr chi(P0^l) over the trace's classes; those terms are kept on the
+    source (``_terms``), so a warm call costs one exp(-s log N) per trace.
+    The tail estimate covers the classes beyond the cutoff (via the geodesic
+    counting function, with a safety factor) and the truncated l-powers.
     """
     wp = prec + 16
     with mp.workprec(wp):
         z = to_scalar(s, wp)
+        if not mp.isfinite(z):
+            raise DomainError(f"log Z needs a finite s, got {s}")
         sigma = _real(z)
         if sigma <= 1:
             raise ConvergenceError("Euler product requires Re(s) > 1")
+        bits = (wp + 10) * mp.log(2)
         total = mp.mpf(0)
-        for trace, group in groupby(source.classes(cutoff, prec), lambda c: c.trace):
-            group = list(group)
-            n0 = norm_of_trace(trace, wp)
-            log_n0 = mp.log(n0)
-            lmax = max(1, int(mp.ceil((wp + 10) * mp.log(2) / (sigma * log_n0))))
-            npow = n0 ** (-z)
-            nl = npow
-            for ell in range(1, lmax + 1):
-                chi = mp.fsum(c.chi_trace(ell) for c in group)
-                total -= chi * nl / (ell * (1 - n0 ** (-ell)))
-                nl *= npow
+        key = (_max_trace_for_cutoff(cutoff, prec), prec)
+        if key not in source._terms:
+            source._terms[key] = [_TraceTerms(t, list(g), wp) for t, g in
+                                  groupby(source.classes(cutoff, prec), lambda c: c.trace)]
+        for terms in source._terms[key]:
+            lmax = max(1, int(mp.ceil(bits / (sigma * terms.log_norm))))
+            npow = mp.exp(-z * terms.log_norm)
+            acc = 0
+            for c in reversed(terms.coefficients(lmax)):
+                acc = (acc + c) * npow
+            total -= acc
         x = to_scalar(cutoff, wp)
         tail = (
             8 * source.dim * sigma / (sigma - 1) * x ** (1 - sigma) / mp.log(x)

@@ -172,7 +172,17 @@ def test_verify_corrupted_bernoulli_cache(monkeypatch, capsys):
 def test_usage_errors(modular_doc, capsys):
     assert cli.main(["mn"]) == 64  # missing --orbifold
     assert cli.main(["detsq", "--orbifold", modular_doc, "--z", "abc"]) == 64
+    for z in ("nan", "inf", "inf,1", "3,nan", "3,1,2"):
+        assert cli.main(["detsq", "--orbifold", modular_doc, "--z", z]) == 64
     assert cli.main(["mn", "--orbifold", modular_doc, "--n-max", "-2"]) == 64
+
+
+def test_detsq_refuses_negative_and_non_finite_cutoffs(modular_doc, capsys):
+    for cutoff in ("-1", "nan", "inf"):
+        rc = cli.main(["detsq", "--orbifold", modular_doc, "--z", "3",
+                       "--prec", "64", "--cutoff-norm", cutoff])
+        assert rc == 2
+        assert "cutoff" in capsys.readouterr().err
 
 
 def test_document_diagnostics(tmp_path, capsys):

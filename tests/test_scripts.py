@@ -43,3 +43,18 @@ def test_geodesic_census_round_trip(tmp_path):
             _, trace, norm = line.split("\t")[:3]
             exact = norm_of_trace(int(trace), 128)
             assert abs(mpf(norm) - exact) <= mpf(10) ** (1 - digits) * exact
+
+
+def test_det_table_sweep_agrees_on_both_paths():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "det_table.py"),
+         "--prec", "96", "--cutoff", "300", "--steps", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.strip().splitlines()
+    assert header.split(",")[-1] == "two_path_residual"
+    assert len(rows) == 4
+    for row in rows:
+        assert mpf(row.split(",")[-1]) < mpf(2) ** -48

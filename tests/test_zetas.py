@@ -26,6 +26,7 @@ from szdet.zetas import (
     selberg_log_z,
     word_matrix,
     word_trace,
+    _max_trace_for_cutoff,
 )
 
 P = 256
@@ -176,6 +177,69 @@ def test_euler_sum_evaluates_one_norm_per_trace(norm_calls):
     norm_calls.clear()
     selberg_log_z(src, mpc(3, 1), 2000, 128)
     assert len(norm_calls) <= 45  # a per-class sum makes 285
+
+
+def test_warm_source_does_no_per_class_work(monkeypatch, norm_calls):
+    src = ModularGeodesicSource()
+    selberg_log_z(src, mpc(3, 1), 2000, 128)
+    norm_calls.clear()
+    _max_trace_for_cutoff(2000, 128)
+    rule_calls = len(norm_calls)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-class work on a warm source")
+
+    monkeypatch.setattr(ModularGeodesicSource, "classes", refuse)
+    monkeypatch.setattr(GeodesicClass, "chi_trace", refuse)
+    norm_calls.clear()
+    selberg_log_z(src, mpc("3.5", -1), 2000, 128)  # needs no new power
+    assert len(norm_calls) == rule_calls == 1  # 42 traces at this cutoff
+
+
+def test_trace_terms_are_keyed_by_precision_and_extended_lazily():
+    cutoff = 500
+    src = ModularGeodesicSource()
+    selberg_log_z(src, mpc(3, 1), cutoff, 128)
+    assert selberg_log_z(src, mpc(3, 1), cutoff, 256) == selberg_log_z(
+        ModularGeodesicSource(), mpc(3, 1), cutoff, 256)
+
+    prec, z = 128, mpc("1.6", -2)
+    selberg_log_z(src, mpc(4, 1), cutoff, prec)
+    got = selberg_log_z(src, z, cutoff, prec)  # needs more powers than Re z = 4
+    assert got == selberg_log_z(ModularGeodesicSource(), z, cutoff, prec)
+    ref = _per_class_log_z(src.classes(cutoff, prec), z, prec)
+    assert abs(got.value - ref) < mpf(2) ** (8 - prec) * (1 + abs(ref))
+
+
+def test_short_chi_table_fails_only_where_powers_are_missing():
+    # at 128 bits the trace-3 series needs 14 powers at Re z = 4 and 47 at 1.2
+    with mp.workprec(144):
+        table = _twisted_table(modular_geodesics(500, prec=128), powers=20)
+    first = selberg_log_z(table, mpf(4), 500, 128)
+    with pytest.raises(DomainError):
+        selberg_log_z(table, mpf("1.2"), 500, 128)
+    assert selberg_log_z(table, mpf(4), 500, 128) == first
+
+
+def test_non_finite_and_negative_arguments_are_refused():
+    src = ModularGeodesicSource()
+    for s in ("nan", "inf", "-inf", mpc(3, "inf"), mpc("nan", 1)):
+        with pytest.raises(DomainError):
+            selberg_log_z(src, mpc(s), 500, 128)
+    assert src._terms == {}
+    for cutoff in (-1, mpf("-1e10")):
+        assert ListGeodesicSource(entries=tuple(src.classes(500, 128))).classes(cutoff, 128) == []
+        with pytest.raises(CutoffError):
+            ModularGeodesicSource().classes(cutoff, 128)
+        for _ in range(2):  # a failed build stores no record
+            with pytest.raises(CutoffError):
+                selberg_log_z(src, 3, cutoff, 128)
+    for cutoff in (mpf("nan"), mpf("inf"), float("-inf")):
+        for source in (src, ListGeodesicSource(entries=())):
+            with pytest.raises(CutoffError):
+                source.classes(cutoff, 128)
+            with pytest.raises(CutoffError):
+                selberg_log_z(source, 3, cutoff, 128)
 
 
 def test_cutoff_boundary_is_one_rule_for_both_sources():
