@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from mpmath import mp
 
@@ -81,7 +80,6 @@ def _beta_table(orb: OrbifoldData):
     ]
 
 
-@lru_cache(maxsize=None)
 def g1_coefficients(orb: OrbifoldData, prec: int = DEFAULT_PREC) -> ExpansionCoefficients:
     """Expansion coefficients of log G1 for the given orbifold."""
     h = orb.dim

@@ -84,9 +84,9 @@ class SurfaceContext:
     """Orbifold + geodesic source + scattering model, with derived constants.
 
     The degree of singularity implied by the scattering model must match the
-    representation's, which is checked at construction.  Selberg log Z values
-    and the PointValues records are memoized per evaluation point, so each of
-    log Z, log G1 and phi is evaluated once per point.
+    representation's, which is checked at construction.  The PointValues
+    records are memoized per evaluation point, so each of log Z, log G1 and
+    phi is evaluated once per point.
     """
 
     orb: OrbifoldData
@@ -96,7 +96,6 @@ class SurfaceContext:
     cutoff_norm: object = 10**6
     coeffs: ExpansionCoefficients = field(init=False)
     constants: tuple = field(init=False)
-    _logz_cache: dict = field(init=False, default_factory=dict, repr=False)
     _point_cache: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -115,20 +114,16 @@ class SurfaceContext:
         return self.constants[0]
 
     def log_z(self, z) -> ValueWithTail:
-        key = to_scalar(z, self.prec)
-        if key not in self._logz_cache:
-            self._logz_cache[key] = selberg_log_z(
-                self.source, key, self.cutoff_norm, self.prec
-            )
-        return self._logz_cache[key]
+        return self.point(z).log_z
 
     def point(self, z) -> PointValues:
-        """The PointValues at z, keyed like ``log_z``; raises off Re(z) > 1."""
+        """The PointValues at z, keyed by z rounded to the context precision;
+        raises off Re(z) > 1."""
         key = to_scalar(z, self.prec)
         if key not in self._point_cache:
             wp = self.prec + 16
             with mp.workprec(wp):
-                lz = self.log_z(key)
+                lz = selberg_log_z(self.source, key, self.cutoff_norm, self.prec)
                 lg1, gamma_part = _log_gamma_part(self, key, wp)
                 self._point_cache[key] = PointValues(
                     key, lz, lg1, lz.value - gamma_part, self.scattering.phi(key, wp)

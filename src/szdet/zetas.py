@@ -4,7 +4,8 @@ Geodesics: primitive hyperbolic conjugacy classes of the modular group are
 enumerated as canonical cyclic words in the parabolic generators
 L = [[1,1],[0,1]] and R = [[1,0],[1,1]] (pure powers of one letter are
 parabolic and excluded).  Canonical form = lexicographically minimal
-rotation; a word is primitive when it is not a proper power.  Norms are
+rotation; the canonical words of primitive classes are the Lyndon words over
+the blocks L^a R^b, and the enumerator walks exactly those.  Norms are
 N(P0) = ((t + sqrt(t^2-4))/2)^2 with t the integer trace, so classes carry
 no norm, a norm cutoff is a trace bound and classes are sorted by trace.
 
@@ -42,6 +43,9 @@ from .numerics import (
     to_scalar,
 )
 
+# the walk over words finishes in seconds up to this trace (norm ~9.0e6)
+MAX_ENUMERATED_TRACE = 3000
+
 _L = (1, 1, 0, 1)
 _R = (1, 0, 1, 1)
 
@@ -68,33 +72,6 @@ def word_matrix(word: str):
 def word_trace(word: str) -> int:
     m = word_matrix(word)
     return m[0] + m[3]
-
-
-def minimal_rotation(w: str) -> str:
-    """Lexicographically least rotation (Booth's algorithm)."""
-    s = w + w
-    n = len(s)
-    f = [-1] * n
-    k = 0
-    for j in range(1, n):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return w[k - len(w):] + w[:k - len(w)] if k else w
-
-
-def is_primitive_word(w: str) -> bool:
-    """True when w is not a proper power of a shorter word."""
-    return (w + w).find(w, 1) == len(w)
 
 
 def norm_of_trace(t: int, prec: int = DEFAULT_PREC):
@@ -154,59 +131,56 @@ def _max_trace_for_cutoff(norm_cutoff, prec: int) -> int:
         x = to_scalar(norm_cutoff, prec + 16)
         if not mp.isfinite(x):
             raise CutoffError(f"norm cutoff must be finite, got {norm_cutoff}")
-        # N(t) = t^2 - 2 - 1/N(t), so s = floor(sqrt x) has N(s) < x < N(s + 2)
-        t = int(mp.floor(mp.sqrt(max(x, 0)))) + 1
+        # N(t) = t^2 - 2 - 1/N(t), so s = floor(sqrt x) has N(s) < x < N(s + 2);
+        # isqrt of floor(x) is that s exactly at any size
+        t = isqrt(int(mp.floor(max(x, 0)))) + 1
         if t >= 3 and norm_of_trace(t, prec + 16) > x:
             t -= 1
         return t  # < 3 when no class fits
 
 
-def _modular_words_up_to_trace(tmax: int, keep_imprimitive: bool = False):
-    """Canonical cyclic words with both letters and trace <= tmax.
+def _modular_words_up_to_trace(tmax: int):
+    """Primitive classes with trace <= tmax as sorted (trace, word) pairs.
 
-    Words are walked as exponent blocks L^a R^b (a, b >= 1): all matrix
-    entries stay nonnegative, so the trace of any completion is monotone in
-    every entry and each block exponent can be cut off as soon as the
-    cheapest completion overshoots.  The lexicographically minimal rotation
-    starts with the longest L-run, hence at a block boundary, so every class
-    is seen; Booth canonicalization plus a set removes the duplicates.
+    A class's canonical word is its lexicographically least rotation, which
+    starts with a longest L-run and so is a sequence of blocks L^a R^b
+    (a, b >= 1).  Letter order on the cyclic word orders the blocks as
+    (a, b) < (a', b') iff a > a', or a = a' and b < b', and the canonical
+    words of primitive classes are the Lyndon words over that alphabet.  The
+    walk visits prenecklaces (Fredricksen-Kessler-Maiorana; Ruskey, Savage
+    and Wang, J. Algorithms 13 (1992)): with p the length of the longest
+    Lyndon prefix, a block may extend the word when it is >= the block p
+    places back; an equal block keeps p and a larger one makes the extended
+    word Lyndon, so each class is emitted exactly once.  All matrix entries
+    stay nonnegative, so the trace is monotone in every block exponent and
+    each exponent loop stops at its first overshoot.
     """
     out = []
-    if tmax < 3:
-        return out
-    seen = set()
-
-    def emit(word: str, tr: int):
-        if word in seen:
-            return
-        canon = minimal_rotation(word)
-        if canon in seen:
-            return
-        seen.add(canon)
-        if keep_imprimitive or is_primitive_word(canon):
-            out.append((tr, canon))
-
-    # stack holds (matrix of complete blocks, word string)
-    stack = [((1, 0, 0, 1), "")]
+    # stack holds (matrix, word, blocks, p) for each prenecklace
+    stack = [((1, 0, 0, 1), "", (), 0)]
     while stack:
-        m, w = stack.pop()
-        a = 1
-        while True:
+        m, w, blocks, p = stack.pop()
+        n = len(blocks)
+        # the first block is unconstrained: every block within tmax has
+        # a < tmax - 1 and b >= 1, so it is larger than (tmax, 0)
+        ra, rb = blocks[n - p] if n else (tmax, 0)
+        for a in range(1, ra + 1):
             ml = _mat_mul(m, (1, a, 0, 1))
-            # cheapest completion appends a single R
-            if ml[0] + ml[1] + ml[3] > tmax:
+            b = rb if a == ra else 1
+            # trace of ml R^b is ml[0] + b ml[1] + ml[3]
+            if ml[0] + b * ml[1] + ml[3] > tmax:
                 break
-            b = 1
             while True:
                 full = _mat_mul(ml, (1, 0, b, 1))
                 tr = full[0] + full[3]
                 if tr > tmax:
                     break
                 word = w + "L" * a + "R" * b
-                emit(word, tr)
-                stack.append((full, word))
+                q = p if (a, b) == (ra, rb) else n + 1
+                if q == n + 1:
+                    out.append((tr, word))
+                stack.append((full, word, blocks + ((a, b),), q))
                 b += 1
-            a += 1
     out.sort()
     return out
 
@@ -233,13 +207,21 @@ def modular_geodesics(
 
     ``rep``, when given, is a pair of unitary dim x dim generator images
     (chi(L), chi(R)); character traces of powers then come from the
-    eigenvalues of the word product.  Without it tr chi = dim.
+    eigenvalues of the word product.  Without it tr chi = dim.  Raises
+    CutoffError below the smallest norm and above the norm of trace
+    MAX_ENUMERATED_TRACE.
     """
     tmax = _max_trace_for_cutoff(norm_cutoff, prec)
     if tmax < 3:
         raise CutoffError(
             f"cutoff {norm_cutoff} below the smallest norm "
             f"{norm_of_trace(3, 53)}"
+        )
+    if tmax > MAX_ENUMERATED_TRACE:
+        limit = mp.nstr(norm_of_trace(MAX_ENUMERATED_TRACE, 53), 10)
+        raise CutoffError(
+            f"cutoff {norm_cutoff} above the enumeration limit: norm {limit} "
+            f"(trace {MAX_ENUMERATED_TRACE})"
         )
     classes = []
     for tr, w in _modular_words_up_to_trace(tmax):
@@ -327,6 +309,10 @@ def selberg_log_z(
         bits = (wp + 10) * mp.log(2)
         total = mp.mpf(0)
         key = (_max_trace_for_cutoff(cutoff, prec), prec)
+        if key[0] < 3:
+            raise CutoffError(
+                f"cutoff {cutoff} below the smallest norm {norm_of_trace(3, 53)}"
+            )
         if key not in source._terms:
             source._terms[key] = [_TraceTerms(t, list(g), wp) for t, g in
                                   groupby(source.classes(cutoff, prec), lambda c: c.trace)]
@@ -517,10 +503,17 @@ def _divisors_signed(n: int, bound: int):
 
 
 def necklace_counts_by_trace(tmax: int) -> dict[int, int]:
-    """Cyclic L/R words (including proper powers) per trace, word side."""
+    """Cyclic L/R words (including proper powers) per trace, word side.
+
+    Each primitive class P of trace t counts once at every
+    tr(P^k) <= tmax, with tr(P^(k+1)) = t tr(P^k) - tr(P^(k-1)).
+    """
     counts: dict[int, int] = {}
-    for tr, _ in _modular_words_up_to_trace(tmax, keep_imprimitive=True):
-        counts[tr] = counts.get(tr, 0) + 1
+    for t, _ in _modular_words_up_to_trace(tmax):
+        prev, tr = 2, t
+        while tr <= tmax:
+            counts[tr] = counts.get(tr, 0) + 1
+            prev, tr = tr, t * tr - prev
     return counts
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -183,6 +187,19 @@ def test_detsq_refuses_negative_and_non_finite_cutoffs(modular_doc, capsys):
                        "--prec", "64", "--cutoff-norm", cutoff])
         assert rc == 2
         assert "cutoff" in capsys.readouterr().err
+
+
+def test_detsq_refuses_cutoff_beyond_enumeration_limit(modular_doc):
+    # a trace bound near 1e150 used to keep the enumerator walking for ever
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "szdet.cli", "detsq", "--orbifold", modular_doc,
+         "--z", "3", "--cutoff-norm", "1e300"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 2
+    assert "enumeration limit" in proc.stderr
 
 
 def test_document_diagnostics(tmp_path, capsys):

@@ -1,8 +1,6 @@
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from szdet.errors import ConvergenceError, CutoffError, DomainError, PoleError
@@ -11,13 +9,12 @@ from szdet.zetas import (
     GenericScattering,
     GeodesicClass,
     ListGeodesicSource,
+    MAX_ENUMERATED_TRACE,
     ModularGeodesicSource,
     ModularScattering,
-    is_primitive_word,
     load_generic_scattering,
     load_geodesic_table,
     matrix_class_counts,
-    minimal_rotation,
     modular_geodesics,
     necklace_counts_by_trace,
     norm_of_trace,
@@ -27,15 +24,10 @@ from szdet.zetas import (
     word_matrix,
     word_trace,
     _max_trace_for_cutoff,
+    _modular_words_up_to_trace,
 )
 
 P = 256
-
-
-@given(st.text(alphabet="LR", min_size=1, max_size=14))
-def test_minimal_rotation_matches_naive(w):
-    naive = min(w[i:] + w[:i] for i in range(len(w)))
-    assert minimal_rotation(w) == naive
 
 
 def test_word_matrix_examples():
@@ -45,11 +37,63 @@ def test_word_matrix_examples():
     assert word_trace("LLR") == 4 == word_trace("LRR")
 
 
-def test_primitivity():
-    assert is_primitive_word("LR")
-    assert is_primitive_word("LLR")
-    assert not is_primitive_word("LRLR")
-    assert not is_primitive_word("LLRLLR")
+def _brute_force_necklaces(tmax):
+    """(trace, canonical word, primitive?) for every cyclic word with both
+    letters and trace <= tmax: every block sequence L^a R^b ... within the
+    bound, its least rotation taken naively, duplicates dropped by a set."""
+    seen, out = set(), []
+    stack = [""]
+    while stack:
+        w = stack.pop()
+        for a in range(1, tmax):
+            for b in range(1, tmax):
+                word = w + "L" * a + "R" * b
+                tr = word_trace(word)
+                if tr > tmax:
+                    break
+                stack.append(word)
+                canon = min(word[i:] + word[:i] for i in range(len(word)))
+                if canon not in seen:
+                    seen.add(canon)
+                    primitive = all(canon != canon[:d] * (len(canon) // d)
+                                    for d in range(1, len(canon))
+                                    if len(canon) % d == 0)
+                    out.append((tr, canon, primitive))
+            if word_trace(w + "L" * a + "R") > tmax:
+                break
+    return sorted(out)
+
+
+def test_walk_matches_brute_force_reference():
+    ref = _brute_force_necklaces(80)
+    assert ("LLRLLR" in {w for _, w, p in ref if not p}
+            and "LLR" in {w for _, w, p in ref if p})
+    for tmax in range(-1, 81):
+        assert _modular_words_up_to_trace(tmax) == [
+            (t, w) for t, w, p in ref if p and t <= tmax]
+        counts = {}
+        for t, _, _ in ref:
+            if t <= tmax:
+                counts[t] = counts.get(t, 0) + 1
+        assert necklace_counts_by_trace(tmax) == counts
+
+
+def test_census_of_primitive_classes():
+    for tmax, census in ((316, (9558, 314)), (1000, (78441, 998))):
+        words = _modular_words_up_to_trace(tmax)
+        assert (len(words), len({t for t, _ in words})) == census
+
+
+def test_enumeration_limit_is_a_cutoff_error():
+    with mp.workprec(200):
+        above = norm_of_trace(MAX_ENUMERATED_TRACE + 1, 200) * (1 + mpf(2) ** -100)
+        # x = 10^44 - 8 fits the rule's 144 bits, and sqrt(x) rounds up to
+        # 10^22 there, but N(10^22) = 10^44 - 2 - 10^-44 is above x
+        huge = mpf(10**44 - 8)
+    for source in (modular_geodesics, ModularGeodesicSource().classes):
+        with pytest.raises(CutoffError, match=str(MAX_ENUMERATED_TRACE)):
+            source(above, prec=128)
+    assert _max_trace_for_cutoff(huge, 128) == 10**22 - 1
 
 
 def test_smallest_class():
@@ -82,6 +126,10 @@ def test_enumeration_matches_matrix_oracle():
         assert word_counts.get(t, 0) == mat_counts.get(t, 0)
 
 
+def test_necklace_counts_match_matrix_oracle_to_trace_60():
+    assert necklace_counts_by_trace(60) == matrix_class_counts(60, 200)
+
+
 def test_primitive_vs_all_classes():
     # trace 7 contains exactly the squares of the trace-3 classes
     prim = {c.word for c in modular_geodesics(norm_of_trace(12, 64), prec=64)}
@@ -103,6 +151,17 @@ def test_selberg_log_z_decay_and_tail():
     assert abs(v3b.value - v3a.value) < v3a.tail_bound
     with pytest.raises(ConvergenceError):
         selberg_log_z(src, mpf("0.9"), 100, P)
+
+
+def test_tail_needs_a_class_below_the_cutoff():
+    # N(3) = 6.85...: below it the tail formula has no meaning
+    src = ListGeodesicSource(entries=tuple(modular_geodesics(500, prec=128)))
+    for cutoff in (0, 1, -1, 5):
+        assert src.classes(cutoff, 128) == []
+        with pytest.raises(CutoffError):
+            selberg_log_z(src, 3, cutoff, 128)
+    assert src._terms == {}
+    assert selberg_log_z(src, 3, 7, 128).value != 0
 
 
 def test_selberg_empty_source():
