@@ -131,8 +131,12 @@ def _max_trace_for_cutoff(norm_cutoff, prec: int) -> int:
         x = to_scalar(norm_cutoff, prec + 16)
         if not mp.isfinite(x):
             raise CutoffError(f"norm cutoff must be finite, got {norm_cutoff}")
-        # N(t) = t^2 - 2 - 1/N(t), so s = floor(sqrt x) has N(s) < x < N(s + 2);
-        # isqrt of floor(x) is that s exactly at any size
+        # N(t) = t^2 - 2 - 1/N(t) lies in (t^2 - 3, t^2 - 2), so for an integer
+        # x, N(t) <= x exactly when t^2 <= x + 2; every x >= 2^(prec+16) is an
+        # integer, which is where N(t) rounded to prec+16 bits can land on x
+        if mp.isint(x):
+            return isqrt(max(int(x) + 2, 0))
+        # otherwise s = floor(sqrt x) has N(s) < x < N(s + 2)
         t = isqrt(int(mp.floor(max(x, 0)))) + 1
         if t >= 3 and norm_of_trace(t, prec + 16) > x:
             t -= 1
@@ -541,22 +545,72 @@ def save_geodesic_table(path, classes, prec: int = DEFAULT_PREC, l_max: int = 8)
             )
 
 
+def _table_number(text: str, where: str):
+    try:
+        value = mp.mpf(text)
+        if mp.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise DomainError(f"{where}: {text!r} is not a finite number")
+
+
+def _table_chi(text: str, where: str):
+    parts = text.split(",")
+    if len(parts) > 2:
+        raise DomainError(f"{where}: character cell {text!r} holds "
+                          f"{len(parts)} numbers, expected 're' or 're,im'")
+    return mp.mpc(*[_table_number(p, where) for p in parts])
+
+
+def _table_trace(word: str, text: str, where: str) -> int:
+    try:
+        trace = word_trace(word)
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from None
+    if text.strip() != str(trace):
+        raise DomainError(f"{where}: trace column {text!r} does not match "
+                          f"the trace {trace} of {word}")
+    if trace < 3:
+        raise DomainError(f"{where}: {word} is not hyperbolic (trace {trace})")
+    return trace
+
+
+def _parsed(memo: dict, text: str, parse, where: str):
+    value = memo.get(text)
+    if value is None:
+        value = memo[text] = parse(text, where)
+    return value
+
+
 def load_geodesic_table(path, dim: int = 1, prec: int = DEFAULT_PREC) -> ListGeodesicSource:
-    """Read save_geodesic_table's format; the norm column is parsed, not kept."""
-    entries = []
+    """Read save_geodesic_table's format at ``prec`` bits.
+
+    Each distinct cell string is parsed once per call and its value is
+    shared, immutable, by every class that holds it: a character with finite
+    image takes few trace values, so loading costs about one split and one
+    dict lookup per cell.  The trace column must equal the trace of the
+    word's matrix, the norm column is parsed but not kept, and a character
+    cell holds one or two numbers ('re' or 're,im').  A short line, a
+    malformed or non-finite number, a letter other than L and R, or a trace
+    that does not match the word or is below 3 raises DomainError naming the
+    file and the first line where it occurs.
+    """
+    entries, norms, chis = [], {}, {}
     with mp.workprec(prec), open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path} line {lineno}"
             fields = line.split("\t")
             if len(fields) < 3:
-                raise DomainError(f"{path} line {lineno}: expected word, trace "
-                                  f"and norm, got {line!r}")
-            word, trace, _ = fields[0], int(fields[1]), mp.mpf(fields[2])
-            table = tuple(
-                mp.mpc(*[mp.mpf(p) for p in f.split(",")]) for f in fields[3:]
-            )
+                raise DomainError(f"{where}: expected word, trace and norm, "
+                                  f"got {line!r}")
+            word, trace, norm, *cells = fields
+            trace = _table_trace(word, trace, where)
+            _parsed(norms, norm, _table_number, where)
+            table = tuple(_parsed(chis, c, _table_chi, where) for c in cells)
             entries.append(GeodesicClass(word=word, trace=trace, chi=("table", table)))
     return ListGeodesicSource(entries=tuple(entries), dim=dim)
 

@@ -1,7 +1,8 @@
 import random
+import re
 
 import pytest
-from mpmath import mp, mpc, mpf
+from mpmath import ctx_mp_python, mp, mpc, mpf
 
 from szdet.errors import ConvergenceError, CutoffError, DomainError, PoleError
 from szdet.numerics import riemann_zeta
@@ -239,20 +240,38 @@ def test_euler_sum_evaluates_one_norm_per_trace(norm_calls):
 
 
 def test_warm_source_does_no_per_class_work(monkeypatch, norm_calls):
-    src = ModularGeodesicSource()
-    selberg_log_z(src, mpc(3, 1), 2000, 128)
-    norm_calls.clear()
-    _max_trace_for_cutoff(2000, 128)
-    rule_calls = len(norm_calls)
+    # an integer cutoff becomes a trace bound by integer arithmetic alone;
+    # any other cutoff costs the rule one norm comparison
+    rule_norms = {2000: 0, mpf("2000.5"): 1}  # 42 traces at both cutoffs
+    warm = {}
+    for cutoff, expected in rule_norms.items():
+        warm[cutoff] = ModularGeodesicSource()
+        selberg_log_z(warm[cutoff], mpc(3, 1), cutoff, 128)
+        norm_calls.clear()
+        _max_trace_for_cutoff(cutoff, 128)
+        assert len(norm_calls) == expected
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-class work on a warm source")
 
     monkeypatch.setattr(ModularGeodesicSource, "classes", refuse)
     monkeypatch.setattr(GeodesicClass, "chi_trace", refuse)
-    norm_calls.clear()
-    selberg_log_z(src, mpc("3.5", -1), 2000, 128)  # needs no new power
-    assert len(norm_calls) == rule_calls == 1  # 42 traces at this cutoff
+    for cutoff, expected in rule_norms.items():
+        norm_calls.clear()
+        selberg_log_z(warm[cutoff], mpc("3.5", -1), cutoff, 128)  # needs no new power
+        assert len(norm_calls) == expected
+
+
+def test_integer_cutoff_rule_is_exact_above_working_precision():
+    # x = s^2 - 3 rounded down to the rule's 144 bits is an integer below
+    # N(s) = s^2 - 2 - 1/N(s), which rounds onto x or above it there
+    rng = random.Random(2026)
+    for _ in range(200):
+        bits = rng.randint(60, 109)
+        s = rng.getrandbits(bits) | 1 << (bits - 1)
+        x = mpf(s * s - 3, prec=144, rounding="d")
+        assert _max_trace_for_cutoff(x, 128) == s - 1
+    assert [_max_trace_for_cutoff(x, 128) for x in (-3, 6, 7, 2000)] == [0, 2, 3, 44]
 
 
 def test_trace_terms_are_keyed_by_precision_and_extended_lazily():
@@ -411,6 +430,105 @@ def test_short_table_line_is_a_domain_error(tmp_path):
     path.write_text("LR\t3\t6.854\t1,0\nLLR\t4\n")
     with pytest.raises(DomainError, match="line 2"):
         load_geodesic_table(path)
+
+
+def _write_omega_table(path, classes, powers, prec):
+    """chi(L) = omega, chi(R) = omega^-1 as a table file whose cells are the
+    strings of the six sixth roots of unity, so most cells repeat."""
+    digits = int(prec / 3.32) + 2
+    with mp.workprec(prec + 16):
+        roots = [f"{mp.nstr(mp.cospi(mpf(k) / 3), digits)},"
+                 f"{mp.nstr(mp.sinpi(mpf(k) / 3), digits)}" for k in range(6)]
+        lines = []
+        for c in classes:
+            degree = c.word.count("L") - c.word.count("R")
+            lines.append("\t".join(
+                [c.word, str(c.trace), mp.nstr(norm_of_trace(c.trace, prec), digits)]
+                + [roots[ell * degree % 6] for ell in range(1, powers + 1)]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _write_distinct_table(path, classes, powers, prec):
+    """A table of seeded random unit characters: no two cells are equal."""
+    rng = random.Random(11)
+    with mp.workprec(prec + 16):
+        entries = [GeodesicClass(c.word, c.trace, ("table", tuple(
+            mp.expjpi(mpf(rng.random())) for _ in range(powers))))
+            for c in classes]
+    save_geodesic_table(path, entries, prec=prec, l_max=powers)
+
+
+def _per_cell_table(path, prec):
+    """The table with every cell parsed into a value of its own."""
+    entries = []
+    with mp.workprec(prec):
+        for line in path.read_text().splitlines():
+            word, trace, _, *cells = line.split("\t")
+            entries.append(GeodesicClass(word, int(trace), ("table", tuple(
+                mp.mpc(*[mp.mpf(p) for p in c.split(",")]) for c in cells))))
+    return ListGeodesicSource(entries=tuple(entries))
+
+
+def _table_cells(path):
+    rows = [line.split("\t") for line in path.read_text().splitlines()]
+    return [r[2] for r in rows], [c for r in rows for c in r[3:]]
+
+
+def test_repeated_table_cells_are_parsed_once_and_shared(tmp_path, monkeypatch):
+    path = tmp_path / "omega.tsv"
+    _write_omega_table(path, modular_geodesics(500, prec=128), 32, 128)
+    norms, cells = _table_cells(path)
+    assert len(set(cells)) <= 6 and len(set(norms)) <= 20 < 32 * len(norms)
+    parses = []
+    original = ctx_mp_python.from_str
+
+    def counted(text, *args):
+        parses.append(text)
+        return original(text, *args)
+
+    monkeypatch.setattr(ctx_mp_python, "from_str", counted)
+    loaded = load_geodesic_table(path, prec=128)
+    assert sorted(parses) == sorted(
+        list(set(norms)) + [p for c in set(cells) for p in c.split(",")])
+    values = [v for c in loaded.entries for v in c.chi[1]]
+    assert len(values) == len(cells)
+    assert len({id(v) for v in values}) == len(set(cells))
+
+
+@pytest.mark.parametrize("write", [_write_omega_table, _write_distinct_table])
+def test_shared_cells_load_bit_identical_to_per_cell_parse(tmp_path, write):
+    prec, cutoff = 128, 500
+    path = tmp_path / "table.tsv"
+    write(path, modular_geodesics(cutoff, prec=prec), 32, prec)
+    loaded, oracle = load_geodesic_table(path, prec=prec), _per_cell_table(path, prec)
+    assert loaded.entries == oracle.entries
+    for z in (mpf("2.25"), mpf("3.5")):
+        got, ref = selberg_log_z(loaded, z, cutoff, prec), selberg_log_z(oracle, z, cutoff, prec)
+        assert (got.value, got.tail_bound) == (ref.value, ref.tail_bound)
+    if write is _write_distinct_table:
+        cells = _table_cells(path)[1]
+        assert len(set(cells)) == len(cells)
+
+
+def test_malformed_table_numbers_and_traces_are_domain_errors(tmp_path):
+    path = tmp_path / "geodesics.tsv"
+    head = "# word trace norm chi\nLR\t3\t6.854\t1,0\t-0.5,0.866\n"
+    for line, reason in (
+        ("LLR\t4\tabc\t1,0", "'abc' is not a finite number"),
+        ("LLR\t4\tnan\t1,0", "'nan' is not a finite number"),
+        ("LLR\tx\t13.93\t1,0", "trace column 'x'"),
+        ("LLR\t4\t13.93\t1,2,3", "holds 3 numbers"),
+        ("LLR\t4\t13.93\t1,abc", "'abc' is not a finite number"),
+        ("LLR\t4\t13.93\t\t1,0", "'' is not a finite number"),
+        ("LRR\t3\t6.854\t1,0", "does not match the trace 4 of LRR"),
+        ("LXR\t4\t13.93\t1,0", "only L and R"),
+        ("LLL\t2\t1\t1,0", "not hyperbolic"),
+    ):
+        # the second bad line repeats the first one's cells
+        path.write_text(head + line + "\n" + line + "\n")
+        with pytest.raises(DomainError, match="line 3: .*" + re.escape(reason)) as err:
+            load_geodesic_table(path)
+        assert str(path) in str(err.value)
 
 
 def test_generic_scattering_parsed_at_working_precision(tmp_path):
