@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 from math import isqrt
-from typing import NamedTuple, Optional, Protocol
+from typing import NamedTuple, Protocol
 
 from mpmath import mp
 
@@ -46,10 +46,6 @@ from .numerics import (
 # the walk over words finishes in seconds up to this trace (norm ~9.0e6)
 MAX_ENUMERATED_TRACE = 3000
 
-_L = (1, 1, 0, 1)
-_R = (1, 0, 1, 1)
-
-
 def _mat_mul(m, n):
     a, b, c, d = m
     e, f, g, h = n
@@ -57,13 +53,15 @@ def _mat_mul(m, n):
 
 
 def word_matrix(word: str):
-    """Integer matrix of an L/R word."""
+    """Integer matrix of an L/R word, one product per run: L^a = (1, a, 0, 1)
+    and R^b = (1, 0, b, 1)."""
     m = (1, 0, 0, 1)
-    for ch in word:
+    for ch, run in groupby(word):
+        n = sum(1 for _ in run)
         if ch == "L":
-            m = _mat_mul(m, _L)
+            m = _mat_mul(m, (1, n, 0, 1))
         elif ch == "R":
-            m = _mat_mul(m, _R)
+            m = _mat_mul(m, (1, 0, n, 1))
         else:
             raise DomainError(f"word may contain only L and R, got {ch!r}")
     return m
@@ -87,8 +85,10 @@ def norm_of_trace(t: int, prec: int = DEFAULT_PREC):
 class GeodesicClass:
     """A primitive hyperbolic conjugacy class with its character data.
 
-    ``chi`` is one of ('trivial', h), ('eigs', eigenvalue tuple) or
-    ('table', trace tuple); chi_trace(l) evaluates tr chi(P0^l).
+    ``chi`` is ('trivial', h) or ('table', trace tuple); chi_trace(l)
+    evaluates tr chi(P0^l).  The Euler sum groups a trace's classes by the
+    identity of their ``chi`` object, so sources hand classes with one
+    character the same tuple.
     """
 
     word: str
@@ -99,8 +99,6 @@ class GeodesicClass:
         kind, data = self.chi
         if kind == "trivial":
             return mp.mpf(data)
-        if kind == "eigs":
-            return mp.fsum((lam**ell for lam in data), absolute=False)
         if kind == "table":
             if ell > len(data):
                 raise DomainError(
@@ -113,7 +111,8 @@ class GeodesicClass:
 
 class GeodesicSource(Protocol):
     """Complete, duplicate-free classes with norm <= cutoff, sorted by
-    (trace, word): log Z sums one norm series per run of equal traces.
+    (trace, word): log Z sums one norm series per run of equal traces.  A
+    source that cannot list every class under the cutoff raises CutoffError.
 
     ``_terms`` belongs to ``selberg_log_z``: its first call per (trace bound,
     prec) stores there the z-independent terms of each trace's series, and
@@ -189,31 +188,15 @@ def _modular_words_up_to_trace(tmax: int):
     return out
 
 
-def _chi_eigs_for_word(word: str, images, prec: int):
-    u_l, u_r = images
-    with mp.workprec(prec + 8):
-        a = mp.matrix(u_l)
-        b = mp.matrix(u_r)
-        prod = mp.eye(a.rows)
-        for ch in word:
-            prod = prod * (a if ch == "L" else b)
-        eigs, _ = mp.eig(prod, left=False, right=False)
-        return tuple(eigs)
-
-
 def modular_geodesics(
     norm_cutoff,
-    rep=None,
     dim: int = 1,
     prec: int = DEFAULT_PREC,
 ) -> list[GeodesicClass]:
-    """Primitive hyperbolic classes of the modular group with norm <= cutoff.
-
-    ``rep``, when given, is a pair of unitary dim x dim generator images
-    (chi(L), chi(R)); character traces of powers then come from the
-    eigenvalues of the word product.  Without it tr chi = dim.  Raises
-    CutoffError below the smallest norm and above the norm of trace
-    MAX_ENUMERATED_TRACE.
+    """Primitive hyperbolic classes of the modular group with norm <= cutoff,
+    each with the trivial dim-dimensional character (tr chi = dim), all
+    sharing one ``chi`` tuple.  Raises CutoffError below the smallest norm
+    and above the norm of trace MAX_ENUMERATED_TRACE.
     """
     tmax = _max_trace_for_cutoff(norm_cutoff, prec)
     if tmax < 3:
@@ -227,37 +210,31 @@ def modular_geodesics(
             f"cutoff {norm_cutoff} above the enumeration limit: norm {limit} "
             f"(trace {MAX_ENUMERATED_TRACE})"
         )
-    classes = []
-    for tr, w in _modular_words_up_to_trace(tmax):
-        if rep is None:
-            chi = ("trivial", dim)
-        else:
-            chi = ("eigs", _chi_eigs_for_word(w, rep, prec))
-        classes.append(GeodesicClass(word=w, trace=tr, chi=chi))
-    return classes
+    chi = ("trivial", dim)
+    return [GeodesicClass(word=w, trace=tr, chi=chi)
+            for tr, w in _modular_words_up_to_trace(tmax)]
 
 
 @dataclass
 class ModularGeodesicSource:
-    """Cached enumeration of modular-group classes, keyed by trace bound."""
+    """Modular-group classes, enumerated afresh by each classes() call; the
+    Euler sum keeps what it needs in ``_terms``."""
 
-    rep: Optional[tuple] = None
     dim: int = 1
-    _cache: dict = field(default_factory=dict, repr=False)
     _terms: dict = field(default_factory=dict, compare=False, repr=False)
 
     def classes(self, norm_cutoff, prec: int = DEFAULT_PREC):
-        tmax = _max_trace_for_cutoff(norm_cutoff, prec)
-        if tmax not in self._cache:
-            self._cache[tmax] = modular_geodesics(
-                norm_cutoff, rep=self.rep, dim=self.dim, prec=prec
-            )
-        return self._cache[tmax]
+        return modular_geodesics(norm_cutoff, dim=self.dim, prec=prec)
 
 
 @dataclass
 class ListGeodesicSource:
-    """A fixed class list (synthetic data or a loaded cache file)."""
+    """A fixed class list (synthetic data or a loaded cache file).
+
+    The list counts as complete up to its largest trace: a cutoff whose trace
+    bound lies beyond it raises CutoffError, since the classes missing there
+    would otherwise be dropped from the sum without a word.
+    """
 
     entries: tuple
     dim: int = 1
@@ -265,6 +242,12 @@ class ListGeodesicSource:
 
     def classes(self, norm_cutoff, prec: int = DEFAULT_PREC):
         tmax = _max_trace_for_cutoff(norm_cutoff, prec)
+        covered = max((c.trace for c in self.entries), default=2)
+        if tmax > covered:
+            raise CutoffError(
+                f"cutoff {norm_cutoff} reaches past the class list, which "
+                f"is complete only up to trace {covered}"
+            )
         return sorted((c for c in self.entries if c.trace <= tmax),
                       key=lambda c: (c.trace, c.word))
 
@@ -277,16 +260,28 @@ class ValueWithTail(NamedTuple):
 class _TraceTerms:
     """The z-independent part of one trace's norm series in log Z: N, log N
     and c_l = (sum of tr chi(P0^l) over the trace's classes) / (l (1 - N^-l)),
-    built on demand up to the most powers a call has needed."""
+    built on demand up to the most powers a call has needed.  Classes are
+    grouped by their ``chi`` object; each group keeps one class, whose
+    chi_trace serves them all, and its size.  ``wp`` is selberg_log_z's
+    working precision, prec + 16."""
 
-    def __init__(self, trace: int, classes: list, wp: int):
-        self.classes, self.coeffs = classes, []
+    def __init__(self, trace: int, classes, wp: int):
+        groups = {}
+        for c in classes:
+            groups.setdefault(id(c.chi), [c, 0])[1] += 1
+        self.chis, self.coeffs = list(groups.values()), []
         self.norm = norm_of_trace(trace, wp)
         self.log_norm = mp.log(self.norm)
+        self.bits = (wp + 10) * mp.log(2)
+
+    def powers(self, sigma) -> int:
+        """Powers l the series needs at Re s = sigma; sigma = 1 gives the
+        most that any Re s > 1 needs."""
+        return max(1, int(mp.ceil(self.bits / (sigma * self.log_norm))))
 
     def coefficients(self, lmax: int) -> list:
         for ell in range(len(self.coeffs) + 1, lmax + 1):
-            chi = mp.fsum(c.chi_trace(ell) for c in self.classes)
+            chi = mp.fdot((n, c.chi_trace(ell)) for c, n in self.chis)
             self.coeffs.append(chi / (ell * (1 - self.norm ** (-ell))))
         return self.coeffs[:lmax]
 
@@ -310,7 +305,6 @@ def selberg_log_z(
         sigma = _real(z)
         if sigma <= 1:
             raise ConvergenceError("Euler product requires Re(s) > 1")
-        bits = (wp + 10) * mp.log(2)
         total = mp.mpf(0)
         key = (_max_trace_for_cutoff(cutoff, prec), prec)
         if key[0] < 3:
@@ -318,10 +312,10 @@ def selberg_log_z(
                 f"cutoff {cutoff} below the smallest norm {norm_of_trace(3, 53)}"
             )
         if key not in source._terms:
-            source._terms[key] = [_TraceTerms(t, list(g), wp) for t, g in
+            source._terms[key] = [_TraceTerms(t, g, wp) for t, g in
                                   groupby(source.classes(cutoff, prec), lambda c: c.trace)]
         for terms in source._terms[key]:
-            lmax = max(1, int(mp.ceil(bits / (sigma * terms.log_norm))))
+            lmax = terms.powers(sigma)
             npow = mp.exp(-z * terms.log_norm)
             acc = 0
             for c in reversed(terms.coefficients(lmax)):
@@ -526,15 +520,22 @@ def necklace_counts_by_trace(tmax: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def save_geodesic_table(path, classes, prec: int = DEFAULT_PREC, l_max: int = 8):
-    """One record per class: word, trace, norm, chi traces (tab-separated)."""
+def save_geodesic_table(path, classes, prec: int = DEFAULT_PREC):
+    """One record per class: word, trace, norm, chi traces (tab-separated).
+
+    Each class gets the powers its trace's series needs in selberg_log_z at
+    ``prec`` bits as Re s -> 1, so a table loaded at ``prec`` serves every
+    Re s > 1.
+    """
+    with mp.workprec(prec + 16):
+        powers = {t: _TraceTerms(t, (), prec + 16).powers(1)
+                  for t in {cls.trace for cls in classes}}
     with mp.workprec(prec), open(path, "w") as fh:
         digits = int(prec / 3.32) + 2
-        norms = {t: mp.nstr(norm_of_trace(t, prec), digits)
-                 for t in {cls.trace for cls in classes}}
+        norms = {t: mp.nstr(norm_of_trace(t, prec), digits) for t in powers}
         for cls in classes:
             traces = []
-            for ell in range(1, l_max + 1):
+            for ell in range(1, powers[cls.trace] + 1):
                 v = mp.mpc(cls.chi_trace(ell))
                 traces.append(
                     f"{mp.nstr(v.real, digits)},{mp.nstr(v.imag, digits)}"
@@ -587,31 +588,38 @@ def load_geodesic_table(path, dim: int = 1, prec: int = DEFAULT_PREC) -> ListGeo
     """Read save_geodesic_table's format at ``prec`` bits.
 
     Each distinct cell string is parsed once per call and its value is
-    shared, immutable, by every class that holds it: a character with finite
-    image takes few trace values, so loading costs about one split and one
-    dict lookup per cell.  The trace column must equal the trace of the
-    word's matrix, the norm column is parsed but not kept, and a character
-    cell holds one or two numbers ('re' or 're,im').  A short line, a
-    malformed or non-finite number, a letter other than L and R, or a trace
-    that does not match the word or is below 3 raises DomainError naming the
-    file and the first line where it occurs.
+    shared, immutable, by every class that holds it, and each distinct run
+    of character cells gives one ``chi`` tuple shared by the classes that
+    hold it: a character with finite image takes few trace values, so
+    loading costs about one split and one dict lookup per line, and the
+    Euler sum evaluates each trace's distinct characters once.  The trace
+    column must equal the trace of the word's matrix, the norm column is
+    parsed but not kept, and a character cell holds one or two numbers ('re'
+    or 're,im').  A short line, a malformed or non-finite number, a letter
+    other than L and R, or a trace that does not match the word or is below
+    3 raises DomainError naming the file and the first line where it occurs.
     """
-    entries, norms, chis = [], {}, {}
+    entries, norms, cells, rows = [], {}, {}, {}
     with mp.workprec(prec), open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             where = f"{path} line {lineno}"
-            fields = line.split("\t")
+            fields = line.split("\t", 3)
             if len(fields) < 3:
                 raise DomainError(f"{where}: expected word, trace and norm, "
                                   f"got {line!r}")
-            word, trace, norm, *cells = fields
+            word, trace, norm, *row = fields
             trace = _table_trace(word, trace, where)
             _parsed(norms, norm, _table_number, where)
-            table = tuple(_parsed(chis, c, _table_chi, where) for c in cells)
-            entries.append(GeodesicClass(word=word, trace=trace, chi=("table", table)))
+            row = row[0] if row else ""
+            chi = rows.get(row)
+            if chi is None:
+                chi = rows[row] = ("table", tuple(
+                    _parsed(cells, c, _table_chi, where)
+                    for c in (row.split("\t") if row else ())))
+            entries.append(GeodesicClass(word=word, trace=trace, chi=chi))
     return ListGeodesicSource(entries=tuple(entries), dim=dim)
 
 

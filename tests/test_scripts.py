@@ -1,5 +1,6 @@
 """Every experiment script imports and parses its options against the library."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,7 +9,13 @@ from pathlib import Path
 import pytest
 from mpmath import mp, mpf
 
-from szdet.zetas import load_geodesic_table, modular_geodesics, norm_of_trace
+from szdet.zetas import (
+    ModularGeodesicSource,
+    load_geodesic_table,
+    modular_geodesics,
+    norm_of_trace,
+    selberg_log_z,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -43,6 +50,11 @@ def test_geodesic_census_round_trip(tmp_path):
             _, trace, norm = line.split("\t")[:3]
             exact = norm_of_trace(int(trace), 128)
             assert abs(mpf(norm) - exact) <= mpf(10) ** (1 - digits) * exact
+    # the file holds every power the sum needs at its precision, down to Re z -> 1
+    for z in (mpf("1.5"), mpf(3)):
+        got = selberg_log_z(loaded, z, 200, 128).value
+        ref = selberg_log_z(ModularGeodesicSource(), z, 200, 128).value
+        assert abs(got - ref) <= mpf(2) ** (8 - 128) * (1 + abs(ref))
 
 
 def test_det_table_sweep_agrees_on_both_paths():
@@ -58,3 +70,17 @@ def test_det_table_sweep_agrees_on_both_paths():
     assert len(rows) == 4
     for row in rows:
         assert mpf(row.split(",")[-1]) < mpf(2) ** -48
+
+
+@pytest.mark.parametrize("workload", ["deep_sweep", "table_twisted", "orbifold_pool"])
+def test_benchmark_workload_runs_and_checks(workload):
+    # one operation of each in-process benchmark workload, through the
+    # library calls the benchmark makes, with its correctness check
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "0"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

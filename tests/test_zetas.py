@@ -38,6 +38,23 @@ def test_word_matrix_examples():
     assert word_trace("LLR") == 4 == word_trace("LRR")
 
 
+def test_word_matrix_matches_letter_by_letter_product():
+    letters = {"L": ((1, 1), (0, 1)), "R": ((1, 0), (1, 1))}
+    rng = random.Random(7)
+    for _ in range(300):
+        word = "".join(rng.choice("LR") * rng.randint(1, 6)
+                       for _ in range(rng.randint(0, 12)))
+        m = ((1, 0), (0, 1))
+        for ch in word:
+            g = letters[ch]
+            m = tuple(tuple(sum(m[i][k] * g[k][j] for k in range(2))
+                            for j in range(2)) for i in range(2))
+        assert word_matrix(word) == (*m[0], *m[1])
+    for word in ("LLxRR", "LRRL ", "RRRRl"):
+        with pytest.raises(DomainError, match="only L and R"):
+            word_matrix(word)
+
+
 def _brute_force_necklaces(tmax):
     """(trace, canonical word, primitive?) for every cyclic word with both
     letters and trace <= tmax: every block sequence L^a R^b ... within the
@@ -166,9 +183,29 @@ def test_tail_needs_a_class_below_the_cutoff():
 
 
 def test_selberg_empty_source():
+    # an empty list is complete up to no trace, so every cutoff with a
+    # class below it reaches beyond the list
     src = ListGeodesicSource(entries=())
-    v = selberg_log_z(src, mpf(3), 100, P)
-    assert v.value == 0
+    with pytest.raises(CutoffError, match="complete only up to trace 2"):
+        selberg_log_z(src, mpf(3), 100, P)
+    assert src._terms == {}
+
+
+def test_class_list_refuses_cutoffs_beyond_its_largest_trace():
+    # a table of every class with norm <= 500 holds traces <= 22, and
+    # N(22) < 500 < N(23): it is complete up to N(23) and no further
+    src = ListGeodesicSource(entries=tuple(modular_geodesics(500, prec=128)))
+    with mp.workprec(144):
+        n23 = norm_of_trace(23, 144)
+        below, above = n23 * (1 - mpf(2) ** -100), n23 * (1 + mpf(2) ** -100)
+    assert selberg_log_z(src, 3, below, 128) == selberg_log_z(
+        ModularGeodesicSource(), 3, below, 128)
+    with pytest.raises(CutoffError, match="complete only up to trace 22"):
+        src.classes(above, 128)
+    for cutoff in (above, 10**5, "1e300000"):
+        with pytest.raises(CutoffError, match="complete only up to trace 22"):
+            selberg_log_z(src, 3, cutoff, 128)
+    assert list(src._terms) == [(22, 128)]
 
 
 def test_selberg_chi_table_source():
@@ -237,6 +274,23 @@ def test_euler_sum_evaluates_one_norm_per_trace(norm_calls):
     norm_calls.clear()
     selberg_log_z(src, mpc(3, 1), 2000, 128)
     assert len(norm_calls) <= 45  # a per-class sum makes 285
+
+
+def test_cold_sum_evaluates_each_character_once_per_trace_and_power(monkeypatch):
+    # every enumerated class shares one trivial character, so each trace's
+    # coefficient of N^(-ls) costs one chi_trace call however many classes
+    # the trace has (285 classes over 42 traces here)
+    calls = []
+    chi_trace = GeodesicClass.chi_trace
+
+    def counted(self, ell):
+        calls.append((self.trace, ell))
+        return chi_trace(self, ell)
+
+    monkeypatch.setattr(GeodesicClass, "chi_trace", counted)
+    selberg_log_z(ModularGeodesicSource(), mpc(3, 1), 2000, 128)
+    assert {t for t, _ in calls} == set(range(3, 45))
+    assert len(calls) == len(set(calls))
 
 
 def test_warm_source_does_no_per_class_work(monkeypatch, norm_calls):
@@ -417,7 +471,7 @@ def test_geodesic_table_roundtrip(tmp_path):
     src = ModularGeodesicSource()
     classes = src.classes(60, 128)
     path = tmp_path / "geodesics.tsv"
-    save_geodesic_table(path, classes, prec=128, l_max=48)
+    save_geodesic_table(path, classes, prec=128)
     loaded = load_geodesic_table(path, dim=1, prec=128)
     assert [c.word for c in loaded.classes(60, 128)] == [c.word for c in classes]
     a = selberg_log_z(src, mpf(5), 60, 96)
@@ -449,13 +503,15 @@ def _write_omega_table(path, classes, powers, prec):
 
 
 def _write_distinct_table(path, classes, powers, prec):
-    """A table of seeded random unit characters: no two cells are equal."""
+    """A table of seeded random unit characters: no two cells are equal.
+    The file keeps the powers the sum needs at ``prec`` (56 for trace 3 at
+    128 bits), so twice ``powers`` are drawn."""
     rng = random.Random(11)
     with mp.workprec(prec + 16):
         entries = [GeodesicClass(c.word, c.trace, ("table", tuple(
-            mp.expjpi(mpf(rng.random())) for _ in range(powers))))
+            mp.expjpi(mpf(rng.random())) for _ in range(2 * powers))))
             for c in classes]
-    save_geodesic_table(path, entries, prec=prec, l_max=powers)
+    save_geodesic_table(path, entries, prec=prec)
 
 
 def _per_cell_table(path, prec):
@@ -493,6 +549,9 @@ def test_repeated_table_cells_are_parsed_once_and_shared(tmp_path, monkeypatch):
     values = [v for c in loaded.entries for v in c.chi[1]]
     assert len(values) == len(cells)
     assert len({id(v) for v in values}) == len(set(cells))
+    # classes whose character cells repeat share one chi object
+    rows = [line.split("\t", 3)[3] for line in path.read_text().splitlines()]
+    assert len({id(c.chi) for c in loaded.entries}) == len(set(rows)) < len(rows)
 
 
 @pytest.mark.parametrize("write", [_write_omega_table, _write_distinct_table])
