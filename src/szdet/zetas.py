@@ -15,7 +15,10 @@ Re(s) > 1; it is summed as one norm series per trace, and evaluations carry
 an explicit truncation tail estimate.  The series' z-independent terms (per
 trace: N, log N and the character-weighted coefficients of N^(-ls)) are
 built by the first log Z call for a (trace bound, precision) pair and kept
-on the geodesic source, so a later call costs one exp per trace.
+on the geodesic source, so a later call costs one exp per trace.  Those
+coefficients are held as fixed-point integers, and each trace's series is
+summed by a Horner loop in Python integer arithmetic (error bound in
+selberg_log_z's docstring).
 
 Scattering determinants come in two flavours: the built-in modular closed
 form sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)) and a generic
@@ -26,10 +29,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from math import isqrt
+from math import ceil, isqrt
 from typing import NamedTuple, Protocol
 
-from mpmath import mp
+from mpmath import mp, mpc
+from mpmath.libmp import (
+    from_man_exp,
+    fzero,
+    mpc_mul,
+    mpf_sub,
+    round_nearest,
+    to_fixed,
+)
 
 from .errors import ConvergenceError, CutoffError, DomainError, PoleError
 from .numerics import (
@@ -45,6 +56,11 @@ from .numerics import (
 
 # the walk over words finishes in seconds up to this trace (norm ~9.0e6)
 MAX_ENUMERATED_TRACE = 3000
+
+# fractional bits of the Euler sum's fixed-point Horner loop beyond its
+# working precision (see selberg_log_z)
+_FIXED_GUARD = 24
+
 
 def _mat_mul(m, n):
     a, b, c, d = m
@@ -114,22 +130,34 @@ class GeodesicSource(Protocol):
     (trace, word): log Z sums one norm series per run of equal traces.  A
     source that cannot list every class under the cutoff raises CutoffError.
 
+    ``max_trace`` is the largest trace the source can list classes up to;
+    a cutoff whose trace bound lies beyond it is refused.
+
     ``_terms`` belongs to ``selberg_log_z``: its first call per (trace bound,
     prec) stores there the z-independent terms of each trace's series, and
     later calls with that key read no class.
     """
 
     dim: int
+    max_trace: int
     _terms: dict
 
     def classes(self, norm_cutoff, prec: int) -> list[GeodesicClass]: ...
 
 
-def _max_trace_for_cutoff(norm_cutoff, prec: int) -> int:
+def _max_trace_for_cutoff(norm_cutoff, prec: int, limit: int | None = None) -> int:
+    """The largest trace t with N(t) <= norm_cutoff (< 3 when no class fits).
+
+    With a ``limit``, a cutoff of (limit + 1)^2 or more gives limit + 1 at
+    once, since N(limit + 1) < (limit + 1)^2: a source refuses it without
+    the exact bound, which for a cutoff 10^D has about 1.66 D bits.
+    """
     with mp.workprec(prec + 16):
         x = to_scalar(norm_cutoff, prec + 16)
         if not mp.isfinite(x):
             raise CutoffError(f"norm cutoff must be finite, got {norm_cutoff}")
+        if limit is not None and x >= (limit + 1) ** 2:
+            return limit + 1
         # N(t) = t^2 - 2 - 1/N(t) lies in (t^2 - 3, t^2 - 2), so for an integer
         # x, N(t) <= x exactly when t^2 <= x + 2; every x >= 2^(prec+16) is an
         # integer, which is where N(t) rounded to prec+16 bits can land on x
@@ -198,7 +226,7 @@ def modular_geodesics(
     sharing one ``chi`` tuple.  Raises CutoffError below the smallest norm
     and above the norm of trace MAX_ENUMERATED_TRACE.
     """
-    tmax = _max_trace_for_cutoff(norm_cutoff, prec)
+    tmax = _max_trace_for_cutoff(norm_cutoff, prec, MAX_ENUMERATED_TRACE)
     if tmax < 3:
         raise CutoffError(
             f"cutoff {norm_cutoff} below the smallest norm "
@@ -222,6 +250,7 @@ class ModularGeodesicSource:
 
     dim: int = 1
     _terms: dict = field(default_factory=dict, compare=False, repr=False)
+    max_trace = MAX_ENUMERATED_TRACE
 
     def classes(self, norm_cutoff, prec: int = DEFAULT_PREC):
         return modular_geodesics(norm_cutoff, dim=self.dim, prec=prec)
@@ -239,14 +268,17 @@ class ListGeodesicSource:
     entries: tuple
     dim: int = 1
     _terms: dict = field(default_factory=dict, compare=False, repr=False)
+    max_trace: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.max_trace = max((c.trace for c in self.entries), default=2)
 
     def classes(self, norm_cutoff, prec: int = DEFAULT_PREC):
-        tmax = _max_trace_for_cutoff(norm_cutoff, prec)
-        covered = max((c.trace for c in self.entries), default=2)
-        if tmax > covered:
+        tmax = _max_trace_for_cutoff(norm_cutoff, prec, self.max_trace)
+        if tmax > self.max_trace:
             raise CutoffError(
                 f"cutoff {norm_cutoff} reaches past the class list, which "
-                f"is complete only up to trace {covered}"
+                f"is complete only up to trace {self.max_trace}"
             )
         return sorted((c for c in self.entries if c.trace <= tmax),
                       key=lambda c: (c.trace, c.word))
@@ -258,12 +290,18 @@ class ValueWithTail(NamedTuple):
 
 
 class _TraceTerms:
-    """The z-independent part of one trace's norm series in log Z: N, log N
-    and c_l = (sum of tr chi(P0^l) over the trace's classes) / (l (1 - N^-l)),
+    """The z-independent part of one trace's norm series in log Z: log N and
+    c_l = (sum of tr chi(P0^l) over the trace's classes) / (l (1 - N^-l)),
     built on demand up to the most powers a call has needed.  Classes are
     grouped by their ``chi`` object; each group keeps one class, whose
     chi_trace serves them all, and its size.  ``wp`` is selberg_log_z's
-    working precision, prec + 16."""
+    working precision, prec + 16.
+
+    Each c_l is computed at ``wp`` bits and kept once, as the fixed-point
+    pair (floor(Re c_l 2^frac), floor(Im c_l 2^frac)) with frac = wp + 24,
+    for selberg_log_z's integer Horner loop; ``complex`` records whether any
+    c_l came out as an mpc.
+    """
 
     def __init__(self, trace: int, classes, wp: int):
         groups = {}
@@ -272,18 +310,27 @@ class _TraceTerms:
         self.chis, self.coeffs = list(groups.values()), []
         self.norm = norm_of_trace(trace, wp)
         self.log_norm = mp.log(self.norm)
-        self.bits = (wp + 10) * mp.log(2)
+        self.ratio = float((wp + 10) * mp.log(2) / self.log_norm)
+        self.frac = wp + _FIXED_GUARD
+        self.complex = False
 
     def powers(self, sigma) -> int:
-        """Powers l the series needs at Re s = sigma; sigma = 1 gives the
-        most that any Re s > 1 needs."""
-        return max(1, int(mp.ceil(self.bits / (sigma * self.log_norm))))
+        """Powers l the series needs at Re s = sigma, ceil((wp + 10) log 2 /
+        (sigma log N)); sigma = 1 gives the most that any Re s > 1 needs."""
+        return max(1, ceil(self.ratio / float(sigma)))
 
     def coefficients(self, lmax: int) -> list:
+        """The fixed-point pairs of c_lmax, ..., c_1: Horner order."""
         for ell in range(len(self.coeffs) + 1, lmax + 1):
             chi = mp.fdot((n, c.chi_trace(ell)) for c, n in self.chis)
-            self.coeffs.append(chi / (ell * (1 - self.norm ** (-ell))))
-        return self.coeffs[:lmax]
+            c = chi / (ell * (1 - self.norm ** (-ell)))
+            if isinstance(c, mpc):
+                self.complex = True
+                re, im = c._mpc_
+            else:
+                re, im = c._mpf_, fzero
+            self.coeffs.append((to_fixed(re, self.frac), to_fixed(im, self.frac)))
+        return self.coeffs[lmax - 1::-1]
 
 
 def selberg_log_z(
@@ -296,6 +343,21 @@ def selberg_log_z(
     source (``_terms``), so a warm call costs one exp(-s log N) per trace.
     The tail estimate covers the classes beyond the cutoff (via the geodesic
     counting function, with a safety factor) and the truncated l-powers.
+
+    Per trace, with p = N^-s, the inner sum c_1 + c_2 p + ... + c_L p^(L-1)
+    runs as a Horner loop over Python integers in fixed point with frac =
+    wp + 24 fractional bits; only p and the result cross to mpmath, where
+    the result is multiplied by p, which keeps its relative accuracy at
+    large Re s.  Error bound: c_l and p are truncated and every step floors
+    its product, each by less than sqrt(2) 2^-frac.  As |p| <= 1/N(3) <
+    0.146, a step shrinks the error it inherits, and the inner sum is off by
+    less than (3.4 + 1.7 A) 2^-frac, with A the largest tail c_l + c_(l+1) p
+    + ... for l >= 2.  When |tr chi| <= dim, A |p| < 0.66 dim n/N < 0.1 dim,
+    n being the number of classes of the trace (n/N peaks at 0.147 at trace
+    3).  So each trace's term is off by less than (0.5 + 0.2 dim) 2^-frac,
+    and the sum over at most MAX_ENUMERATED_TRACE traces by less than
+    2^-(prec + 25) dim: far inside the tail's 2^-prec (1 + |total|)
+    allowance for rounding.
     """
     wp = prec + 16
     with mp.workprec(wp):
@@ -305,8 +367,7 @@ def selberg_log_z(
         sigma = _real(z)
         if sigma <= 1:
             raise ConvergenceError("Euler product requires Re(s) > 1")
-        total = mp.mpf(0)
-        key = (_max_trace_for_cutoff(cutoff, prec), prec)
+        key = (_max_trace_for_cutoff(cutoff, prec, source.max_trace), prec)
         if key[0] < 3:
             raise CutoffError(
                 f"cutoff {cutoff} below the smallest norm {norm_of_trace(3, 53)}"
@@ -314,13 +375,23 @@ def selberg_log_z(
         if key not in source._terms:
             source._terms[key] = [_TraceTerms(t, g, wp) for t, g in
                                   groupby(source.classes(cutoff, prec), lambda c: c.trace)]
+        is_complex, minus_z, fsigma = isinstance(z, mpc), -z, float(sigma)
+        total_re = total_im = fzero
         for terms in source._terms[key]:
-            lmax = terms.powers(sigma)
-            npow = mp.exp(-z * terms.log_norm)
-            acc = 0
-            for c in reversed(terms.coefficients(lmax)):
-                acc = (acc + c) * npow
-            total -= acc
+            coeffs = terms.coefficients(terms.powers(fsigma))
+            is_complex = is_complex or terms.complex
+            npow = mp.exp(minus_z * terms.log_norm)
+            npow = npow._mpc_ if isinstance(npow, mpc) else (npow._mpf_, fzero)
+            f = terms.frac
+            pr, pi = to_fixed(npow[0], f), to_fixed(npow[1], f)
+            ar = ai = 0
+            for cr, ci in coeffs:
+                ar, ai = ((ar * pr - ai * pi) >> f) + cr, ((ar * pi + ai * pr) >> f) + ci
+            term_re, term_im = mpc_mul(
+                (from_man_exp(ar, -f), from_man_exp(ai, -f)), npow, wp, round_nearest)
+            total_re = mpf_sub(total_re, term_re, wp, round_nearest)
+            total_im = mpf_sub(total_im, term_im, wp, round_nearest)
+        total = mp.make_mpc((total_re, total_im)) if is_complex else mp.make_mpf(total_re)
         x = to_scalar(cutoff, wp)
         tail = (
             8 * source.dim * sigma / (sigma - 1) * x ** (1 - sigma) / mp.log(x)
@@ -639,16 +710,37 @@ def save_generic_scattering(path, model: GenericScattering, prec: int = DEFAULT_
 
 
 def load_generic_scattering(path, prec: int = DEFAULT_PREC) -> GenericScattering:
+    """Read save_generic_scattering's format at ``prec`` bits.
+
+    A line with other than three fields, a k that is not an integer, a
+    malformed or non-finite number, or u_n that are not increasing from
+    above 1 raises DomainError naming the file (and the line, where one is
+    at fault).
+    """
     with mp.workprec(prec), open(path) as fh:
         lines = [(n, ln.split()) for n, ln in enumerate(fh, 1)
                  if ln.strip() and not ln.strip().startswith("#")]
         if not lines:
             raise DomainError(f"empty scattering data file {path}")
-        n, head = lines[0]
-        if len(head) < 3:
-            raise DomainError(f"{path} line {n}: header needs 'k c1 c2'")
-        k, c1, c2 = int(head[0]), mp.mpf(head[1]), mp.mpf(head[2])
-        terms = []
-        for _, (u, re_a, im_a) in lines[1:]:
-            terms.append((mp.mpf(u), mp.mpc(mp.mpf(re_a), mp.mpf(im_a))))
-    return GenericScattering(k=k, c1=c1, c2=c2, terms=tuple(terms))
+        head, terms = None, []
+        for n, fields in lines:
+            where = f"{path} line {n}"
+            if len(fields) != 3:
+                expected = "'u Re(a) Im(a)'" if head is not None else "'k c1 c2'"
+                raise DomainError(f"{where}: expected {expected}, got "
+                                  f"{len(fields)} fields")
+            if head is None:
+                try:
+                    k = int(fields[0])
+                except ValueError:
+                    raise DomainError(f"{where}: k {fields[0]!r} is not an "
+                                      f"integer") from None
+                head = [k] + [_table_number(f, where) for f in fields[1:]]
+            else:
+                u, re_a, im_a = (_table_number(f, where) for f in fields)
+                terms.append((u, mp.mpc(re_a, im_a)))
+    k, c1, c2 = head
+    try:
+        return GenericScattering(k=k, c1=c1, c2=c2, terms=tuple(terms))
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from None

@@ -263,6 +263,21 @@ def test_malformed_scattering_header_is_a_document_error(tmp_path, capsys):
     assert "scattering.file" in capsys.readouterr().err
 
 
+def test_detsq_refuses_a_non_finite_scattering_term(tmp_path, capsys):
+    # the modular signature takes a generic model too, so only the loader
+    # stands between a nan term and a det^2 computed from it
+    terms = tmp_path / "terms.dat"
+    terms.write_text("1 0 0\nnan 0.3 0\n")
+    doc = dict(MODULAR_DOC, scattering={"model": "generic", "file": str(terms)})
+    path = tmp_path / "modular_generic.json"
+    path.write_text(json.dumps(doc))
+    rc = cli.main(["detsq", "--orbifold", str(path), "--z", "3",
+                   "--prec", "64", "--cutoff-norm", "500"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "scattering.file" in err and "line 2: 'nan' is not a finite number" in err
+
+
 def test_detsq_needs_scattering(torus_doc, capsys):
     rc = cli.main(["detsq", "--orbifold", torus_doc, "--z", "3"])
     assert rc == 2

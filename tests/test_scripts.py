@@ -72,10 +72,10 @@ def test_det_table_sweep_agrees_on_both_paths():
         assert mpf(row.split(",")[-1]) < mpf(2) ** -48
 
 
-@pytest.mark.parametrize("workload", ["deep_sweep", "table_twisted", "orbifold_pool"])
+@pytest.mark.parametrize("workload", ["deep_sweep", "cli_cold", "table_twisted", "orbifold_pool"])
 def test_benchmark_workload_runs_and_checks(workload):
-    # one operation of each in-process benchmark workload, through the
-    # library calls the benchmark makes, with its correctness check
+    # one operation of each benchmark workload, through the library calls
+    # or the szdet process the benchmark runs, with its correctness check
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "1", "--seconds", "0"],

@@ -1,5 +1,9 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import ctx_mp_python, mp, mpc, mpf
@@ -24,6 +28,7 @@ from szdet.zetas import (
     selberg_log_z,
     word_matrix,
     word_trace,
+    _TraceTerms,
     _max_trace_for_cutoff,
     _modular_words_up_to_trace,
 )
@@ -234,17 +239,19 @@ def _per_class_log_z(classes, s, prec):
         for cls in classes:
             n0 = norm_of_trace(cls.trace, wp)
             lmax = max(1, int(mp.ceil((wp + 10) * mp.log(2) / (sigma * mp.log(n0)))))
+            step, power, inverse = n0 ** -z, 1, 1
             for ell in range(1, lmax + 1):
-                total -= cls.chi_trace(ell) * n0 ** (-ell * z) / (ell * (1 - n0 ** (-ell)))
+                power, inverse = power * step, inverse / n0
+                total -= cls.chi_trace(ell) * power / (ell * (1 - inverse))
         return total
 
 
 def _twisted_table(classes, powers=64):
     # chi(L) = omega, chi(R) = omega^-1, so tr chi(P^l) = omega^(l (#L - #R))
-    omega = mp.expjpi(mpf(1) / 3)
+    roots = [mp.expjpi(mpf(k) / 3) for k in range(6)]
     return ListGeodesicSource(entries=tuple(
         GeodesicClass(c.word, c.trace, ("table", tuple(
-            omega ** (ell * (c.word.count("L") - c.word.count("R")))
+            roots[ell * (c.word.count("L") - c.word.count("R")) % 6]
             for ell in range(1, powers + 1))))
         for c in classes
     ))
@@ -265,6 +272,59 @@ def test_euler_sum_matches_per_class_reference():
     for z in (mpf("2.5"), mpc(3, -1)):
         ref = _per_class_log_z(table.entries, z, prec)
         assert abs(selberg_log_z(table, z, cutoff, prec).value - ref) < tol(ref)
+
+
+def _cancelling_table(classes, powers, prec):
+    """Each class twice, with the twisted character and with its negative,
+    so every trace's coefficient of N^(-ls) is exactly 0."""
+    with mp.workprec(prec):
+        twisted = _twisted_table(classes, powers).entries
+        return ListGeodesicSource(entries=tuple(
+            GeodesicClass(c.word, c.trace, chi) for c in twisted
+            for chi in (c.chi, ("table", tuple(-v for v in c.chi[1])))))
+
+
+@pytest.mark.parametrize("prec", [64, 128, 256])
+def test_fixed_point_kernel_matches_independent_reference(prec):
+    # the reference sums class by class in mpmath at 2 prec + 64 bits; the
+    # tables carry their characters at that precision, so both read one table
+    ref_prec = 2 * prec + 64
+    modular = ModularGeodesicSource()
+    with mp.workprec(ref_prec + 16):
+        table_classes = modular_geodesics(500, prec=prec)
+        twisted = _twisted_table(table_classes, powers=100)
+    cancelling = _cancelling_table(table_classes, 100, ref_prec + 16)
+    cases = [(modular, 2000, z, mpf) for z in (mpf(3), mpf("1.0625"))]
+    cases += [(modular, 2000, z, mpc) for z in (mpc("2.5", 1), mpc(20, 3))]
+    cases += [(table, 500, z, mpc) for table in (twisted, cancelling)
+              for z in (mpf("2.25"), mpc(3, -1))]
+    for source, cutoff, z, kind in cases:
+        got = selberg_log_z(source, z, cutoff, prec).value
+        entries = source.classes(cutoff, prec)
+        ref = _per_class_log_z(entries, z, ref_prec)
+        assert type(got) is kind, (source, z)
+        with mp.workprec(ref_prec):
+            assert abs(got - ref) <= mpf(2) ** -prec * (1 + abs(ref)), (source, z)
+    assert selberg_log_z(cancelling, mpc(3, -1), 500, prec).value == 0
+
+
+def test_term_count_matches_the_mp_expression():
+    # powers() divides a float quotient by float(sigma); the parent rule
+    # is the mpmath ceiling below, on 21,000 seeded (precision, trace, sigma)
+    rng = random.Random(99)
+    traces = [3, 4, 5, 1000, MAX_ENUMERATED_TRACE] + rng.sample(range(6, 3000), 65)
+    for prec in (64, 128, 256):
+        wp = prec + 16
+        with mp.workprec(wp):
+            bits = (wp + 10) * mp.log(2)
+            for t in traces:
+                terms = _TraceTerms(t, (), wp)
+                sigmas = [1 + mpf(2) ** -60, mpf(1) + mpf(2) ** -30, mpf(10) ** 6]
+                sigmas += [1 + mpf(rng.random()) ** 4 * rng.choice((1, 10, 1000))
+                           for _ in range(97)]
+                for sigma in sigmas:
+                    expected = max(1, int(mp.ceil(bits / (sigma * terms.log_norm))))
+                    assert terms.powers(sigma) == expected, (prec, t, sigma)
 
 
 def test_euler_sum_evaluates_one_norm_per_trace(norm_calls):
@@ -588,6 +648,48 @@ def test_malformed_table_numbers_and_traces_are_domain_errors(tmp_path):
         with pytest.raises(DomainError, match="line 3: .*" + re.escape(reason)) as err:
             load_geodesic_table(path)
         assert str(path) in str(err.value)
+
+
+def test_huge_cutoffs_are_refused_before_the_exact_trace_bound():
+    # the exact trace bound of 1e100000000 has about 1.66e8 bits; both
+    # sources compare the cutoff with their largest reachable norm first
+    code = """
+from szdet.errors import CutoffError
+from szdet.zetas import (ListGeodesicSource, ModularGeodesicSource,
+                         modular_geodesics, selberg_log_z)
+listed = ListGeodesicSource(entries=tuple(modular_geodesics(500, prec=128)))
+for source in (ModularGeodesicSource(), listed):
+    for call in (source.classes, lambda c, p: selberg_log_z(source, 3, c, p)):
+        try:
+            call("1e100000000", 128)
+        except CutoffError:
+            pass
+        else:
+            raise SystemExit("a huge cutoff was accepted")
+    assert source._terms == {}
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1 0.1 0.2\n2 0.3\n", "line 2: expected 'u Re(a) Im(a)', got 2 fields"),
+    ("1 0\n", "line 1: expected 'k c1 c2', got 2 fields"),
+    ("1.5 0.1 0.2\n", "line 1: k '1.5' is not an integer"),
+    ("1 abc 0.2\n", "line 1: 'abc' is not a finite number"),
+    ("1 0.1 0.2\n2 abc 0\n", "line 2: 'abc' is not a finite number"),
+    ("1 0.1 0.2\n# note\nnan 0.3 0\n", "line 3: 'nan' is not a finite number"),
+    ("1 0.1 0.2\n2 inf 0\n", "line 2: 'inf' is not a finite number"),
+    ("1 0.1 0.2\n2 0.3 -inf\n", "line 2: '-inf' is not a finite number"),
+    ("1 0.1 0.2\n0.5 0.3 0\n", "terms need u_n > 1"),
+])
+def test_malformed_scattering_file_is_a_domain_error(tmp_path, text, reason):
+    path = tmp_path / "scattering.dat"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=re.escape(f"{path}") + ".*" + re.escape(reason)):
+        load_generic_scattering(path)
 
 
 def test_generic_scattering_parsed_at_working_precision(tmp_path):
