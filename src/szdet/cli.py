@@ -128,36 +128,50 @@ def emit_table(rows: list[ResultRow], fmt: str, meta: dict) -> str:
 
 
 def parse_orbifold_document(doc: dict):
-    """Validate a JSON document into (OrbifoldData, scattering model or None)."""
+    """Validate a JSON document into (OrbifoldData, scattering model or None);
+    a field of the wrong JSON type is a DocumentError naming its path."""
 
     def fail(path, msg):
         raise DocumentError(f"{path}: {msg}")
 
-    if not isinstance(doc, dict):
-        fail("$", "document must be a JSON object")
-    if doc.get("schema", 1) != 1:
+    kinds = {"an object": dict, "a list": list, "an integer": int,
+             "a number": (int, float)}
+
+    def typed(path, value, kind):
+        if isinstance(value, bool) or not isinstance(value, kinds[kind]):
+            fail(path, f"expected {kind}, got {value!r}")
+        return value
+
+    def listed(path, value, kind):
+        return tuple(typed(f"{path}[{j}]", v, kind)
+                     for j, v in enumerate(typed(path, value, "a list")))
+
+    typed("$", doc, "an object")
+    if typed("schema", doc.get("schema", 1), "an integer") != 1:
         fail("schema", f"unsupported schema version {doc.get('schema')}")
     for key in ("genus", "cusps", "rep_dim"):
         if key not in doc:
             fail(key, "missing required field")
-        if not isinstance(doc[key], int):
-            fail(key, f"expected an integer, got {doc[key]!r}")
-    elliptic_spec = doc.get("elliptic", [])
+        typed(key, doc[key], "an integer")
     orders, exponents = [], []
-    for i, e in enumerate(elliptic_spec):
+    for i, e in enumerate(listed("elliptic", doc.get("elliptic", []), "an object")):
         if "order" not in e or "exponents" not in e:
             fail(f"elliptic[{i}]", "needs 'order' and 'exponents'")
-        orders.append(e["order"])
-        exponents.append(tuple(e["exponents"]))
+        orders.append(typed(f"elliptic[{i}].order", e["order"], "an integer"))
+        exponents.append(
+            listed(f"elliptic[{i}].exponents", e["exponents"], "an integer"))
     h = doc["rep_dim"]
     cusp_spec = doc.get(
         "cusp_data", [{"fixed_dim": h, "angles": []}] * doc["cusps"]
     )
     cusps = []
-    for i, cd in enumerate(cusp_spec):
+    for i, cd in enumerate(listed("cusp_data", cusp_spec, "an object")):
         if "fixed_dim" not in cd:
             fail(f"cusp_data[{i}]", "needs 'fixed_dim'")
-        cusps.append(CuspData(cd["fixed_dim"], tuple(cd.get("angles", ()))))
+        cusps.append(CuspData(
+            typed(f"cusp_data[{i}].fixed_dim", cd["fixed_dim"], "an integer"),
+            listed(f"cusp_data[{i}].angles", cd.get("angles", []), "a number"),
+        ))
     try:
         sig = Signature(doc["genus"], doc["cusps"], tuple(orders))
         rep = RepresentationData(h, tuple(exponents), tuple(cusps))
@@ -168,7 +182,7 @@ def parse_orbifold_document(doc: dict):
     scattering = None
     sc = doc.get("scattering")
     if sc is not None:
-        model = sc.get("model")
+        model = typed("scattering", sc, "an object").get("model")
         if model == "modular":
             if sig != modular_signature() or rep != trivial_rep(sig, 1):
                 fail(
@@ -178,8 +192,8 @@ def parse_orbifold_document(doc: dict):
                 )
             scattering = zetas.ModularScattering()
         elif model == "generic":
-            if "file" not in sc:
-                fail("scattering.file", "generic scattering needs a data file")
+            if not isinstance(sc.get("file"), str):
+                fail("scattering.file", "generic scattering needs a data file path")
             try:
                 scattering = zetas.load_generic_scattering(sc["file"])
             except (OSError, SZDetError, ValueError) as exc:
@@ -265,7 +279,6 @@ def cmd_detsq(orb, scattering, z, prec: int, cutoff, fmt: str) -> str:
 
 
 def cmd_verify(suite: str, prec: int, out=None) -> int:
-    out = out if out is not None else sys.stdout
     try:
         results = verify.run_suite(suite, prec)
     except KeyError:

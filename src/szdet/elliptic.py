@@ -1,11 +1,12 @@
 """Integer combinatorics of the trivial zeros of the Selberg zeta function.
 
-Everything here is exact: residue systems q_j(R,m), qt_j(R,m) and their
-wrap counts, the alpha/beta coefficients, closed-form character sums over
-roots of unity, and the trivial-zero multiplicities m_n computed by two
-independent routes (a floor-function formula in exact integer arithmetic,
-and the spectral sine-sum evaluated numerically).  The floor formula is the
-authoritative integer; the spectral form is the cross-checking oracle.
+Exact integer arithmetic gives the residue systems q_j(R,m), qt_j(R,m) and
+their wrap counts, the alpha/beta coefficients, the closed form of the
+root-of-unity sine sum and the floor-function formula for the trivial-zero
+multiplicities m_n (the authoritative value).  The spectral form of m_n, the
+cross-checking oracle, sums the sine sum numerically; its one evaluation path
+is a table over n mod d per (exponent, order, precision), memoized by a
+bounded lru_cache and read by trig_sum_brute and m_n_spectral alike.
 
 Note m_0 = h (2g - 2 + c) for the trivial representation, which is negative
 for small signatures (e.g. -1 for the modular one); negative values are
@@ -14,14 +15,14 @@ returned as-is and read downstream as pole orders of the gamma factor.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 
 from mpmath import mp
 
 from .errors import DomainError, NonIntegerError
 from .numerics import DEFAULT_PREC, _rounded
-from .orbifold import OrbifoldData
+from .orbifold import OrbifoldData, vol_over_2pi
 
 
 @dataclass(frozen=True)
@@ -88,22 +89,26 @@ def beta_coeff(d: int, exponents, m: int) -> int:
 # Trigonometric character sums
 # ---------------------------------------------------------------------------
 
-_TRIG_CACHE: dict[tuple[int, int], tuple[list, list]] = {}
-_trig_lock = threading.Lock()
 
+@functools.lru_cache(maxsize=512)
+def _sine_sum_table(q: int, d: int, prec: int) -> tuple:
+    """sum_{k=1}^{d-1} omega^(qk) sin(k pi (2r+1)/d) / sin(k pi/d) for r in [0, d).
 
-def _trig_tables(d: int, prec: int):
-    """sin(pi j / d) for j in [0, 2d) and exp(2 pi i r / d) for r in [0, d)."""
-    key = (d, prec)
-    with _trig_lock:
-        tab = _TRIG_CACHE.get(key)
-        if tab is None:
-            with mp.workprec(prec + 8):
-                sins = [mp.sinpi(mp.mpf(j) / d) for j in range(2 * d)]
-                roots = [mp.expjpi(2 * mp.mpf(r) / d) for r in range(d)]
-            tab = (sins, roots)
-            _TRIG_CACHE[key] = tab
-    return tab
+    omega = exp(2 pi i / d).  The sum depends on n only through r = n mod d,
+    so this one table per exponent q serves every n, both for trig_sum_brute
+    and for the character sums of m_n_spectral.  Entries carry prec + 8 bits.
+    """
+    with mp.workprec(prec + 8):
+        sins = [mp.sinpi(mp.mpf(j) / d) for j in range(2 * d)]
+        roots = [mp.expjpi(2 * mp.mpf(r) / d) for r in range(d)]
+        weights = [roots[(q * k) % d] / sins[k] for k in range(1, d)]
+        return tuple(
+            mp.fsum(
+                w * sins[(k * (2 * r + 1)) % (2 * d)]
+                for k, w in enumerate(weights, 1)
+            )
+            for r in range(d)
+        )
 
 
 def trig_sum_closed(n: int, q: int, d: int) -> int:
@@ -121,13 +126,7 @@ def trig_sum_brute(n: int, q: int, d: int, prec: int = DEFAULT_PREC):
     """
     if d < 2 or not 0 <= q <= d - 1 or n < 0:
         raise DomainError("need d >= 2, 0 <= q < d, n >= 0")
-    sins, roots = _trig_tables(d, prec)
-    with mp.workprec(prec + 8):
-        total = mp.mpc(0)
-        for k in range(1, d):
-            num = sins[(k * (2 * n + 1)) % (2 * d)]
-            total += roots[(q * k) % d] * num / sins[k]
-    return _rounded(prec, total)
+    return _rounded(prec, _sine_sum_table(q, d, prec)[n % d])
 
 
 # ---------------------------------------------------------------------------
@@ -180,25 +179,21 @@ def m_n_spectral(orb: OrbifoldData, n: int, prec: int = DEFAULT_PREC):
           - sum_R sum_{k=1}^{d_R-1} tr(chi^k(R))/d_R
             * sin(k pi (2n+1)/d_R) / sin(k pi / d_R).
 
+    As tr(chi^k(R)) = sum_{q in q(R)} omega^(qk), the R term is the sum of
+    the q tables' entries n mod d_R, over d_R.
+
     Raises NonIntegerError if the result strays more than 10 * 2^(-prec/2)
     from an integer, which would signal an implementation bug.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    from .orbifold import vol_over_2pi  # local import to avoid cycle noise
-
     h = orb.dim
     v = vol_over_2pi(orb.signature)
     with mp.workprec(prec + 8):
         total = mp.mpc(mp.mpf(v.numerator) / v.denominator * h * (2 * n + 1))
         for d, qs in orb.elliptic_classes():
-            sins, roots = _trig_tables(d, prec)
-            for k in range(1, d):
-                chi_tr = mp.fsum(
-                    (roots[(q * k) % d] for q in qs), absolute=False
-                )
-                ratio = sins[(k * (2 * n + 1)) % (2 * d)] / sins[k]
-                total -= chi_tr * ratio / d
+            for q in qs:
+                total -= _sine_sum_table(q, d, prec)[n % d] / d
         nearest = mp.nint(total.real)
         if abs(total - nearest) > 10 * mp.mpf(2) ** (-prec // 2):
             raise NonIntegerError(

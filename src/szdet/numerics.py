@@ -115,8 +115,7 @@ def _barnes_tail(u, wp: int):
     pw = 1 / u2
     total = mp.mpf(0)
     last = mp.inf
-    k = 1
-    while True:
+    for k in range(1, 4 * wp + 1):
         term = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1)) * pw
         mag = abs(term)
         if mag > last:
@@ -128,13 +127,7 @@ def _barnes_tail(u, wp: int):
             return total
         last = mag
         pw /= u2
-        k += 1
-        if k > 4 * wp:
-            raise PrecisionError("Barnes series failed to terminate")
-
-
-def _shift_threshold(prec: int) -> int:
-    return max(20, prec // 3)
+    raise PrecisionError("Barnes series failed to terminate")
 
 
 def log_barnes_g(z, prec: int = DEFAULT_PREC):
@@ -157,8 +150,7 @@ def log_barnes_g(z, prec: int = DEFAULT_PREC):
         if _is_real(w) and _real(w) < 0:
             raise DomainError("log_barnes_g: negative real argument lies on the cut")
         s = w - 1  # G(z) = G(s+1)
-        threshold = _shift_threshold(prec)
-        shift = max(0, int(mp.ceil(threshold - _real(s))))
+        shift = max(0, int(mp.ceil(max(20, prec // 3) - _real(s))))
         # log G(s+1) = log G(s+1+n) - sum_{k=0}^{n-1} log Gamma(s+1+k); expand
         # each log Gamma incrementally from the base value to avoid n shifts.
         corr = mp.mpf(0)

@@ -83,7 +83,8 @@ class PointValues:
 class SurfaceContext:
     """Orbifold + geodesic source + scattering model, with derived constants.
 
-    The degree of singularity implied by the scattering model must match the
+    The degree of singularity implied by the scattering model and the
+    dimension of the geodesic source's character must match the
     representation's, which is checked at construction.  The PointValues
     records are memoized per evaluation point, so each of log Z, log G1 and
     phi is evaluated once per point.
@@ -106,6 +107,11 @@ class SurfaceContext:
             raise SignatureError(
                 f"scattering degree of singularity {k_model} does not match "
                 f"the representation's {k_rep}"
+            )
+        if self.source.dim != self.orb.dim:
+            raise SignatureError(
+                f"geodesic source dimension {self.source.dim} does not match "
+                f"the representation's {self.orb.dim}"
             )
         self.coeffs = g1_coefficients(self.orb, self.prec)
 

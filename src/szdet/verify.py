@@ -73,40 +73,45 @@ def suite_elliptic(prec: int = 192) -> list[CheckResult]:
     out.append(_check("dual multiplicity formulas (40 random orbifolds)", ok,
                       f"worst |spectral - floor| = {mp.nstr(worst, 3)}"))
 
-    ok = True
+    worst_re = worst_im = mpf(0)
     for d in range(2, 13):
         for q in range(d):
             for n in range(0, 60):
                 b = elliptic.trig_sum_brute(n, q, d, prec)
-                if abs(b - elliptic.trig_sum_closed(n, q, d)) > mpf(2) ** (-prec // 2):
-                    ok = False
-    out.append(_check("root-of-unity sine sum closed form (d <= 12)", ok))
+                worst_re = max(worst_re, abs(b.real - elliptic.trig_sum_closed(n, q, d)))
+                worst_im = max(worst_im, abs(b.imag))
+    out.append(_check("root-of-unity sine sum closed form (d <= 12)",
+                      mp.hypot(worst_re, worst_im) <= mpf(2) ** (-prec // 2),
+                      f"worst |brute - closed| = {mp.nstr(worst_re, 3)}, "
+                      f"worst |Im| = {mp.nstr(worst_im, 3)}"))
 
-    ok = all(
-        elliptic.count_multiples(n, q, d) == elliptic.g_count(n, q, d)
+    bad = sum(
+        elliptic.count_multiples(n, q, d) != elliptic.g_count(n, q, d)
         for d in range(2, 11)
         for q in range(d)
         for n in range(0, 120)
     )
-    out.append(_check("floor-count lemma (d <= 10, n <= 120)", ok))
+    out.append(_check("floor-count lemma (d <= 10, n <= 120)", bad == 0,
+                      f"{bad} mismatches"))
 
-    ok = True
+    bad = 0
     for _ in range(200):
         d = rng.randint(2, 12)
         h = rng.randint(1, 3)
         qs = tuple(rng.randrange(d) for _ in range(h))
         m = rng.randint(0, 40)
-        if elliptic.alpha(d, qs, m) != 2 * m * h + elliptic.beta_coeff(d, qs, m) * d:
-            ok = False
-    out.append(_check("alpha = 2mh + beta d identity", ok))
+        bad += elliptic.alpha(d, qs, m) != 2 * m * h + elliptic.beta_coeff(d, qs, m) * d
+    out.append(_check("alpha = 2mh + beta d identity", bad == 0,
+                      f"{bad} mismatches in 200 draws"))
 
-    ok = all(
-        elliptic.residues(m, q, d).k_total == elliptic.case_table_shift(m, q, d)
+    bad = sum(
+        elliptic.residues(m, q, d).k_total != elliptic.case_table_shift(m, q, d)
         for d in range(2, 13)
         for q in range(d)
         for m in range(d)
     )
-    out.append(_check("shift case table (m < d, d <= 12)", ok))
+    out.append(_check("shift case table (m < d, d <= 12)", bad == 0,
+                      f"{bad} mismatches"))
     return out
 
 
@@ -270,10 +275,7 @@ SUITES = {
 
 def run_suite(name: str, prec: int = 192) -> list[CheckResult]:
     if name == "all":
-        results = []
-        for key in ("elliptic", "special", "scattering", "regdet"):
-            results.extend(SUITES[key](prec))
-        return results
+        return [r for suite in SUITES.values() for r in suite(prec)]
     if name not in SUITES:
         raise KeyError(name)
     return SUITES[name](prec)

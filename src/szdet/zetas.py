@@ -513,12 +513,12 @@ def _form_is_reduced(form, sq) -> bool:
 def _form_cycle_key(form, disc):
     sq = isqrt(disc)
     f = form
-    seen = 0
-    while not _form_is_reduced(f, sq):
+    for _ in range(10001):
+        if _form_is_reduced(f, sq):
+            break
         f = _form_reduce_step(f, sq)
-        seen += 1
-        if seen > 10000:
-            raise RuntimeError("form reduction failed to terminate")
+    else:
+        raise RuntimeError("form reduction failed to terminate")
     cycle = [f]
     g = _form_reduce_step(f, sq)
     while g != f:
@@ -547,10 +547,8 @@ def matrix_class_counts(tmax: int, entry_bound: int = 60) -> dict[int, int]:
             if prod == 0:
                 continue  # bc = 0 requires ad = 1, trace +-2: not hyperbolic
             for b in _divisors_signed(prod, entry_bound):
-                c = prod // b
+                c = prod // b  # nonzero, as prod is
                 if abs(c) > entry_bound:
-                    continue
-                if c == 0:
                     continue
                 key = _form_cycle_key((c, d - a, -b), disc)
                 reps[t].add(key)
@@ -558,17 +556,9 @@ def matrix_class_counts(tmax: int, entry_bound: int = 60) -> dict[int, int]:
 
 
 def _divisors_signed(n: int, bound: int):
-    out = []
+    """The divisors b of n with 1 <= |b| <= bound, both signs."""
     m = abs(n)
-    i = 1
-    while i * i <= m:
-        if m % i == 0:
-            for b in {i, m // i}:
-                if b <= bound:
-                    out.append(b)
-                    out.append(-b)
-        i += 1
-    return sorted(out)
+    return [s * b for b in range(1, min(m, bound) + 1) if m % b == 0 for s in (1, -1)]
 
 
 def necklace_counts_by_trace(tmax: int) -> dict[int, int]:

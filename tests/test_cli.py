@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,20 @@ def test_verify_elliptic_passes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+    # every check reports its residual or mismatch count
+    passed = [ln for ln in out.splitlines() if ln.startswith("[PASS]")]
+    assert len(passed) == 5
+    assert all(re.search(r"  \(.+\)$", ln) for ln in passed), passed
+
+
+def test_verify_all_passes(capsys):
+    rc = cli.main(["verify", "all"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not any(ln.startswith("[FAIL]") for ln in lines)
+    checks = [ln for ln in lines if ln.startswith("[PASS]")]
+    assert lines[-1] == f"{len(checks)}/{len(checks)} checks passed"
+    assert len(checks) == len(lines) - 1
 
 
 def test_verify_unknown_suite(capsys):
@@ -218,6 +233,30 @@ def test_document_diagnostics(tmp_path, capsys):
     rc = cli.main(["mn", "--orbifold", str(path)])
     assert rc == 2
     assert "cusps" in capsys.readouterr().err
+
+
+def _with_elliptic0(**fields):
+    return [dict(MODULAR_DOC["elliptic"][0], **fields), MODULAR_DOC["elliptic"][1]]
+
+
+@pytest.mark.parametrize("change, path", [
+    ({"elliptic": [2, 3]}, "elliptic[0]"),
+    ({"elliptic": _with_elliptic0(order="2")}, "elliptic[0].order"),
+    ({"elliptic": _with_elliptic0(exponents=0)}, "elliptic[0].exponents"),
+    ({"elliptic": _with_elliptic0(exponents=[0.5])}, "elliptic[0].exponents[0]"),
+    ({"cusp_data": [5]}, "cusp_data[0]"),
+    ({"cusp_data": [{"fixed_dim": 0, "angles": ["x"]}]}, "cusp_data[0].angles[0]"),
+    ({"scattering": "modular"}, "scattering"),
+    ({"genus": True}, "genus"),
+])
+def test_wrong_json_type_is_a_document_error(tmp_path, capsys, change, path):
+    # each of these used to escape as an internal error (exit 70), and a
+    # boolean genus was read as genus 1 with exit 0
+    doc_path = tmp_path / "typed.json"
+    doc_path.write_text(json.dumps(dict(MODULAR_DOC, **change)))
+    rc = cli.main(["mn", "--orbifold", str(doc_path), "--n-max", "1", "--prec", "64"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: expected ")
 
 
 def test_modular_scattering_requires_modular_signature(tmp_path, capsys):

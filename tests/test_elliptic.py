@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -23,7 +24,9 @@ from szdet.orbifold import (
     Signature,
     modular_orbifold,
     trivial_rep,
+    vol_over_2pi,
 )
+from szdet.verify import random_orbifold
 
 P = 192
 
@@ -104,6 +107,58 @@ def test_trig_sum_closed_equals_brute_sample():
         v = trig_sum_brute(n, q, d, P)
         assert abs(v.real - trig_sum_closed(n, q, d)) < mpf(2) ** (-P // 2)
         assert abs(v.imag) < mpf(2) ** (-P // 2)
+
+
+@functools.cache
+def _reference_trig_tables(d, prec):
+    with mp.workprec(prec + 8):
+        sins = [mp.sinpi(mp.mpf(j) / d) for j in range(2 * d)]
+        roots = [mp.expjpi(2 * mp.mpf(r) / d) for r in range(d)]
+    return sins, roots
+
+
+def _reference_trig_sum(n, q, d, prec):
+    """One loop over k for each (n, q, d), with no reduction of n mod d."""
+    sins, roots = _reference_trig_tables(d, prec)
+    with mp.workprec(prec + 8):
+        total = mp.mpc(0)
+        for k in range(1, d):
+            total += roots[(q * k) % d] * sins[(k * (2 * n + 1)) % (2 * d)] / sins[k]
+    return total
+
+
+def _reference_m_n_spectral(orb, n, prec):
+    """The sine-sum m_n with the character trace summed per k, then per R."""
+    v = vol_over_2pi(orb.signature)
+    with mp.workprec(prec + 8):
+        total = mp.mpc(mp.mpf(v.numerator) / v.denominator * orb.dim * (2 * n + 1))
+        for d, qs in orb.elliptic_classes():
+            sins, roots = _reference_trig_tables(d, prec)
+            for k in range(1, d):
+                chi_tr = mp.fsum(roots[(q * k) % d] for q in qs)
+                total -= chi_tr * sins[(k * (2 * n + 1)) % (2 * d)] / sins[k] / d
+    return total
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_sine_sum_table_matches_per_call_reference(prec):
+    def close(got, ref):
+        return abs(got - ref) <= mpf(2) ** (8 - prec) * (1 + abs(ref))
+
+    rng = random.Random(20261018)
+    for _ in range(30):
+        orb = random_orbifold(rng)
+        ns = {0, 400}
+        for d in orb.signature.elliptic_orders:
+            ns |= {d - 1, d, 2 * d + 3}
+        for n in sorted(ns):
+            ref = _reference_m_n_spectral(orb, n, prec)
+            assert close(m_n_spectral(orb, n, prec), ref), (orb, n)
+    for d in range(2, 31):
+        for q in range(d):
+            for n in (0, d - 1, d, 2 * d + 3, 400):
+                ref = _reference_trig_sum(n, q, d, prec)
+                assert close(trig_sum_brute(n, q, d, prec), ref), (n, q, d)
 
 
 def test_count_examples():

@@ -75,6 +75,18 @@ def test_context_rejects_mismatched_degree():
         )
 
 
+def test_context_rejects_mismatched_source_dimension():
+    # a dim-1 source under a 2-dimensional representation used to give
+    # det^2(3) = 817.32 against 809.61 from the matching source, unrefused
+    orb = modular_orbifold(2)
+    with pytest.raises(SignatureError, match="dimension"):
+        SurfaceContext(orb, ModularGeodesicSource(dim=1), GenericScattering(k=2),
+                       prec=64, cutoff_norm=100)
+    ctx = SurfaceContext(orb, ModularGeodesicSource(dim=2), GenericScattering(k=2),
+                         prec=64, cutoff_norm=100)
+    assert ctx.source.dim == ctx.orb.dim == 2
+
+
 def test_z_plus_asymptotic_regime(modular_ctx):
     # at Re z = 12 the Euler product is ~1, so Z+ = 1/(G1 Gamma^k) to 1e-6
     with mp.workprec(P + 16):
