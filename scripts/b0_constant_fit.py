@@ -16,13 +16,9 @@ import argparse
 
 from mpmath import mp, mpf
 
-from szdet.gfuncs import (
-    a0_candidates,
-    b0_candidates,
-    g1_coefficients,
-    log_g1,
-)
+from szdet.gfuncs import g1_coefficients, log_g1
 from szdet.numerics import frac_to_mpf
+from szdet.oracles import a0_candidates, b0_candidates
 from szdet.orbifold import (
     CuspData,
     OrbifoldData,

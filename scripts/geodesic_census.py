@@ -16,12 +16,8 @@ from collections import Counter
 
 from mpmath import mp
 
-from szdet.zetas import (
-    matrix_class_counts,
-    modular_geodesics,
-    necklace_counts_by_trace,
-    save_geodesic_table,
-)
+from szdet.oracles import matrix_class_counts, necklace_counts_by_trace
+from szdet.zetas import modular_geodesics, save_geodesic_table
 
 
 def main():

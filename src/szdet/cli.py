@@ -40,7 +40,7 @@ from typing import Optional
 
 from mpmath import mp, mpc, mpf
 
-from . import regdet, verify, zetas
+from . import regdet, zetas
 from .elliptic import m_n_floor, m_n_spectral
 from .errors import SZDetError
 from .numerics import DEFAULT_PREC, to_scalar
@@ -58,6 +58,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+
+# the parser builds one entry per cusp; ~115 B each, so 10,000 cost ~1 MB
+MAX_CUSPS = 10_000
 
 
 class UsageError(Exception):
@@ -153,6 +156,8 @@ def parse_orbifold_document(doc: dict):
         if key not in doc:
             fail(key, "missing required field")
         typed(key, doc[key], "an integer")
+    if doc["cusps"] > MAX_CUSPS:
+        fail("cusps", f"{doc['cusps']} cusps exceed the limit of {MAX_CUSPS}")
     orders, exponents = [], []
     for i, e in enumerate(listed("elliptic", doc.get("elliptic", []), "an object")):
         if "order" not in e or "exponents" not in e:
@@ -279,6 +284,8 @@ def cmd_detsq(orb, scattering, z, prec: int, cutoff, fmt: str) -> str:
 
 
 def cmd_verify(suite: str, prec: int, out=None) -> int:
+    from . import verify  # the suites and their oracles stay off detsq and mn
+
     try:
         results = verify.run_suite(suite, prec)
     except KeyError:

@@ -3,10 +3,12 @@
 Exact integer arithmetic gives the residue systems q_j(R,m), qt_j(R,m) and
 their wrap counts, the alpha/beta coefficients, the closed form of the
 root-of-unity sine sum and the floor-function formula for the trivial-zero
-multiplicities m_n (the authoritative value).  The spectral form of m_n, the
-cross-checking oracle, sums the sine sum numerically; its one evaluation path
-is a table over n mod d per (exponent, order, precision), memoized by a
-bounded lru_cache and read by trig_sum_brute and m_n_spectral alike.
+multiplicities m_n (the authoritative value).  The spectral form of m_n,
+which `szdet mn` reports against it as a residual, sums the sine sum
+numerically; its one evaluation path is a table over n mod d per (exponent,
+order, precision), memoized by a bounded lru_cache and read by
+trig_sum_brute and m_n_spectral alike.  The direct-iteration oracles for
+g_count and for the wrap counts' case table are in szdet.oracles.
 
 Note m_0 = h (2g - 2 + c) for the trivial representation, which is negative
 for small signatures (e.g. -1 for the modular one); negative values are
@@ -62,15 +64,6 @@ def residues(m: int, q: int, d: int) -> ResidueQuad:
         k_shift=(q_m - m - q) // d,
         kt_shift=(qt_m - m + q) // d,
     )
-
-
-def case_table_shift(m: int, q: int, d: int) -> int:
-    """The three-case value of k(R,m,j); the law residues() obeys for m < d."""
-    if m < q and m + q < d:
-        return 1
-    if m >= q and m + q >= d:
-        return -1
-    return 0
 
 
 def alpha(d: int, exponents, m: int) -> int:
@@ -134,21 +127,9 @@ def trig_sum_brute(n: int, q: int, d: int, prec: int = DEFAULT_PREC):
 # ---------------------------------------------------------------------------
 
 
-def count_multiples(n: int, q: int, d: int) -> int:
-    """|{t : t*d in {-n+q, ..., n+q}}| by direct iteration (the oracle)."""
-    if d < 2 or not 0 <= q <= d - 1 or n < 0:
-        raise DomainError("need d >= 2, 0 <= q < d, n >= 0")
-    count = 0
-    t = -(n // d) - 1
-    while t * d <= n + q:
-        if -n + q <= t * d:
-            count += 1
-        t += 1
-    return count
-
-
 def g_count(n: int, q: int, d: int) -> int:
-    """floor((n+q)/d) + floor((n+d-q)/d); closed form of count_multiples."""
+    """floor((n+q)/d) + floor((n+d-q)/d); closed form of
+    szdet.oracles.count_multiples."""
     if d < 2 or not 0 <= q <= d - 1 or n < 0:
         raise DomainError("need d >= 2, 0 <= q < d, n >= 0")
     return (n + q) // d + (n + d - q) // d

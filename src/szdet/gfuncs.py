@@ -25,8 +25,8 @@ fractions; b1 and b0 are floating values at the requested precision.  Two
 published variants of the closed form of the constants disagree in the sign
 of two terms; the adopted forms are the unique ones under which the residual
 after subtracting the full expansion decays like O(1/s), which the test
-suite checks by a high-point constant fit (see b0_candidates and
-a0_candidates for the rejected variants).
+suite checks by a high-point constant fit (the rejected variants are
+szdet.oracles.b0_candidates and a0_candidates).
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .numerics import (
     frac_to_mpf,
     log_barnes_g,
     log_gamma,
-    plog,
     to_scalar,
     zeta_prime_minus1,
 )
@@ -57,19 +56,17 @@ from .orbifold import OrbifoldData, vol_over_2pi
 class ExpansionCoefficients:
     """Coefficients of the order-two asymptotic template.
 
-    a2t multiplies z^2 (log z - 3/2), b2 multiplies z^2, a1t multiplies
-    z (log z - 1), b1 multiplies z, a0t multiplies log z, b0 is the constant
-    term.  a2t, b2, a1t, a0t are exact rationals; b1, b0 are floats computed
-    at ``prec`` bits.  Every function in scope has b2 = 0.
+    a2t multiplies z^2 (log z - 3/2), a1t multiplies z (log z - 1), b1
+    multiplies z, a0t multiplies log z, b0 is the constant term; no function
+    in scope has a z^2 term.  a2t, a1t, a0t are exact rationals; b1, b0 are
+    floats.
     """
 
     a2t: Fraction
-    b2: Fraction
     a1t: Fraction
     b1: object
     a0t: Fraction
     b0: object
-    prec: int = DEFAULT_PREC
 
 
 def _beta_table(orb: OrbifoldData):
@@ -116,54 +113,8 @@ def g1_coefficients(orb: OrbifoldData, prec: int = DEFAULT_PREC) -> ExpansionCoe
         b1 = _rounded(prec, b1)
         b0 = _rounded(prec, b0)
     return ExpansionCoefficients(
-        a2t=hv, b2=Fraction(0), a1t=a1t, b1=b1, a0t=a0t, b0=b0, prec=prec
+        a2t=hv, a1t=a1t, b1=b1, a0t=a0t, b0=b0
     )
-
-
-def b0_candidates(orb: OrbifoldData, prec: int = DEFAULT_PREC):
-    """(adopted, rejected) values of b0.
-
-    The two closed forms differ in the sign of the h(d_R - 1)/(2 d_R) log 2pi
-    term; the adopted one carries +.  They coincide when the orbifold has no
-    elliptic classes.
-    """
-    adopted = g1_coefficients(orb, prec).b0
-    h = orb.dim
-    with mp.workprec(prec + 16):
-        log2pi = mp.log(2 * mp.pi)
-        delta = mp.fsum(
-            h * (d - 1) * log2pi / d for d in orb.signature.elliptic_orders
-        )
-        rejected = _rounded(prec, adopted - delta)
-    return adopted, rejected
-
-
-def a0_candidates(orb: OrbifoldData) -> tuple[Fraction, Fraction]:
-    """(adopted, rejected) values of a0~, as exact rationals.
-
-    The rejected variant flips the sign of the h (d_R-1)/(2 d_R) part and
-    divides the beta sum by d_R; both variants agree when there are no
-    elliptic classes.
-    """
-    coeffs = g1_coefficients(orb)
-    h = orb.dim
-    hv = h * vol_over_2pi(orb.signature)
-    betas = _beta_table(orb)
-    rejected = (
-        hv / 3
-        + sum(
-            h * Fraction(d - 1, d) * (Fraction(1, 2) - Fraction(d - 2, 6))
-            for d, _ in betas
-        )
-        - sum(
-            sum(
-                Fraction(b, d) * (Fraction(m, d) - Fraction(1, 2))
-                for m, b in enumerate(bs)
-            )
-            for d, bs in betas
-        )
-    )
-    return coeffs.a0t, rejected
 
 
 def _check_off_cut(arg, what: str):
@@ -209,109 +160,3 @@ def log_g1(orb: OrbifoldData, s, prec: int = DEFAULT_PREC):
                 if a:
                     val -= mp.mpf(a) / d * log_gamma(arg, prec + 16)
     return _rounded(prec, val)
-
-
-def log_g1_asymptotic(orb: OrbifoldData, s, prec: int = DEFAULT_PREC, coeffs=None):
-    """The expansion of log G1 truncated at the constant term."""
-    if coeffs is None:
-        coeffs = g1_coefficients(orb, prec)
-    with mp.workprec(prec + 16):
-        z = mp.mpmathify(s)
-        lg = plog(z)
-        val = (
-            frac_to_mpf(coeffs.a2t) * z * z * (lg - mp.mpf(3) / 2)
-            + frac_to_mpf(coeffs.a1t) * z * (lg - 1)
-            + coeffs.b1 * z
-            + frac_to_mpf(coeffs.a0t) * lg
-            + coeffs.b0
-        )
-    return _rounded(prec, val)
-
-
-def order_at(orb: OrbifoldData, n: int) -> int:
-    """Exact order of G1 at s = -n from the divisors of Gamma and Barnes G.
-
-    Independent of the floor-formula multiplicity m_n, with which it must
-    agree: the vol block contributes (h vol/2pi)(2n+1), each Gamma(s) power
-    contributes -h(1-1/d_R), and the unique m with m = n (mod d_R) in each
-    fractional-argument product contributes +alpha(R, m)/d_R.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    hv = orb.dim * vol_over_2pi(orb.signature)
-    total = hv * (2 * n + 1)
-    for d, qs in orb.elliptic_classes():
-        total -= orb.dim * Fraction(d - 1, d)
-        total += Fraction(alpha(d, qs, n % d), d)
-    assert total.denominator == 1, "divisor order must be an integer"
-    return int(total)
-
-
-# ---------------------------------------------------------------------------
-# Appendix variants: G_{q,d}, G_E, and the alternate gamma factor
-# ---------------------------------------------------------------------------
-
-
-def log_g_qd(s, q: int, d: int, prec: int = DEFAULT_PREC):
-    """log of G_{q,d}(s) = prod_m G((s-q+m)/d + 1) G((s-(d-q)+m)/d + 1)."""
-    with mp.workprec(prec + 16):
-        z = mp.mpmathify(s)
-        val = mp.mpf(0)
-        for m in range(d):
-            for shift in (q, d - q):
-                val += log_barnes_g((z - shift + m) / d + 1, prec + 16)
-    return _rounded(prec, val)
-
-
-def order_g_qd_at(n: int, q: int, d: int) -> int:
-    """Order of G_{q,d} at s = -n by exact divisor bookkeeping."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    order = 0
-    for m in range(d):
-        for shift in (q, d - q):
-            t = -n - shift + m
-            if t % d == 0 and t // d <= -1:
-                order += -(t // d)
-    return order
-
-
-def log_g_e(s, orb: OrbifoldData, prec: int = DEFAULT_PREC):
-    """log of G_E(s) = prod_R prod_j G_{q(R)_j, d_R}(s)."""
-    with mp.workprec(prec + 16):
-        z = mp.mpmathify(s)
-        val = mp.fsum(
-            log_g_qd(z, q, d, prec + 16)
-            for d, qs in orb.elliptic_classes()
-            for q in qs
-        )
-    return _rounded(prec, val)
-
-
-def order_g_e_at(n: int, orb: OrbifoldData) -> int:
-    return sum(
-        order_g_qd_at(n, q, d) for d, qs in orb.elliptic_classes() for q in qs
-    )
-
-
-def log_tilde_g1(s, orb: OrbifoldData, prec: int = DEFAULT_PREC):
-    """log of the alternate gamma factor
-    G_E(s)^(-1) ((2 pi)^(-s) G(s+1)^2 / Gamma(s))^(h(2g-2+c+e))."""
-    sig = orb.signature
-    power = orb.dim * (2 * sig.genus - 2 + sig.cusps + sig.num_elliptic)
-    with mp.workprec(prec + 16):
-        z = mp.mpmathify(s)
-        block = (
-            -z * mp.log(2 * mp.pi)
-            + 2 * log_barnes_g(z + 1, prec + 16)
-            - log_gamma(z, prec + 16)
-        )
-        val = -log_g_e(z, orb, prec + 16) + power * block
-    return _rounded(prec, val)
-
-
-def order_tilde_g1_at(n: int, orb: OrbifoldData) -> int:
-    """Order of the alternate gamma factor at -n; equals m_n."""
-    sig = orb.signature
-    power = orb.dim * (2 * sig.genus - 2 + sig.cusps + sig.num_elliptic)
-    return power * (2 * n + 1) - order_g_e_at(n, orb)

@@ -28,24 +28,22 @@ PointValues record (log Z, log G1, log Z+ and phi at z, each evaluated once);
 the three prefactors stay separate expressions, so det^2 = D+ D- and the phi
 recovery still test the b1, c1, c2 and k terms.  Values elsewhere require
 a caller-supplied continuation provider (this module never fabricates
-analytic continuation it cannot certify).  A generic "toy" Voros
-engine over an explicit zero list, with the Hurwitz zeta function as its
-oracle, lives at the bottom.
+analytic continuation it cannot certify).  The generic "toy" Voros
+engine over an explicit zero list is an oracle and lives in szdet.oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from mpmath import mp
 
-from .errors import ConvergenceError, CutError, ProviderDomainError, SignatureError
+from .errors import ProviderDomainError, SignatureError
 from .gfuncs import ExpansionCoefficients, g1_coefficients, log_g1
 from .numerics import (
     DEFAULT_PREC,
-    _is_real,
     _real,
     _rounded,
     frac_to_mpf,
@@ -307,72 +305,3 @@ def functional_symmetry_residual(ctx: SurfaceContext, z, provider: ContinuationP
         lhs = mp.exp(-tau * w + _log_dplus_dminus(ctx, w, provider, wp))
         rhs = mp.exp(-tau * (1 - w) + _log_dplus_dminus(ctx, 1 - w, provider, wp))
     return _rounded(ctx.prec, lhs - rhs)
-
-
-# ---------------------------------------------------------------------------
-# Generic superzeta engine over an explicit zero list (the toy Voros engine)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SuperzetaInput:
-    """Explicit zeros y_k (with multiplicity), expansion coefficients of the
-    Hadamard-normalized log Delta_f, and an evaluator for Delta_f itself."""
-
-    zeros: tuple
-    coeffs: ExpansionCoefficients
-    evaluator: Callable
-
-
-def superzeta_direct(
-    inp: SuperzetaInput, s, z, cutoff: Optional[int] = None, prec: int = DEFAULT_PREC
-) -> ValueWithTail:
-    """sum_k (z - y_k)^(-s) over the listed zeros, with an integral tail bound.
-
-    Convergent for Re(s) > 2 (order-two zero counting); the tail estimate
-    assumes the zeros keep roughly their trailing mean spacing.
-    """
-    wp = prec + 16
-    with mp.workprec(wp):
-        ss = to_scalar(s, wp)
-        w = to_scalar(z, wp)
-        if _real(ss) <= 2:
-            raise ConvergenceError("superzeta direct sum requires Re(s) > 2")
-        zeros = inp.zeros[:cutoff] if cutoff is not None else inp.zeros
-        total = mp.mpf(0)
-        for y in zeros:
-            d = w - to_scalar(y, wp)
-            if _is_real(d) and _real(d) <= 0:
-                raise CutError(f"z - y_k = {d} lies on the cut (-inf, 0]")
-            total += mp.exp(-ss * plog(d))
-        if zeros:
-            sigma = _real(ss)
-            r = abs(w - to_scalar(zeros[-1], wp))
-            tailk = min(len(zeros) - 1, 5)
-            gap = (
-                abs(to_scalar(zeros[-1], wp) - to_scalar(zeros[-1 - tailk], wp)) / tailk
-                if tailk
-                else mp.mpf(1)
-            )
-            gap = gap if gap > 0 else mp.mpf(1)
-            tail = 2 * r ** (1 - sigma) / ((sigma - 1) * gap)
-        else:
-            tail = mp.mpf(0)
-    return ValueWithTail(_rounded(prec, total), _rounded(prec, tail))
-
-
-def voros_product(inp: SuperzetaInput, z, prec: int = DEFAULT_PREC):
-    """D_f(z) = exp(-(b2 z^2 + b1 z + b0)) Delta_f(z).
-
-    Equals exp(-d/ds SZ_f(s, z)|_{s=0}) whenever log Delta_f satisfies the
-    order-two asymptotic template with the supplied coefficients.
-    """
-    with mp.workprec(prec + 16):
-        w = to_scalar(z, prec + 16)
-        expo = (
-            frac_to_mpf(inp.coeffs.b2) * w * w
-            + to_scalar(inp.coeffs.b1, prec + 16) * w
-            + to_scalar(inp.coeffs.b0, prec + 16)
-        )
-        val = mp.exp(-expo) * inp.evaluator(w, prec + 16)
-    return _rounded(prec, val)

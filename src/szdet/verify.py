@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from . import elliptic, gfuncs, numerics, orbifold, regdet, zetas
+from . import elliptic, gfuncs, numerics, oracles, orbifold, regdet, zetas
 from .errors import ProviderDomainError
 
 
@@ -86,7 +86,7 @@ def suite_elliptic(prec: int = 192) -> list[CheckResult]:
                       f"worst |Im| = {mp.nstr(worst_im, 3)}"))
 
     bad = sum(
-        elliptic.count_multiples(n, q, d) != elliptic.g_count(n, q, d)
+        oracles.count_multiples(n, q, d) != elliptic.g_count(n, q, d)
         for d in range(2, 11)
         for q in range(d)
         for n in range(0, 120)
@@ -105,7 +105,7 @@ def suite_elliptic(prec: int = 192) -> list[CheckResult]:
                       f"{bad} mismatches in 200 draws"))
 
     bad = sum(
-        elliptic.residues(m, q, d).k_total != elliptic.case_table_shift(m, q, d)
+        elliptic.residues(m, q, d).k_total != oracles.case_table_shift(m, q, d)
         for d in range(2, 13)
         for q in range(d)
         for m in range(d)
@@ -183,8 +183,8 @@ def suite_scattering(prec: int = 192) -> list[CheckResult]:
         ok = abs(model.phi(2, prec) - target) < mpf(10) ** (-25)
     out.append(_check("phi(2) = 45 zeta(3) / pi^3", ok))
 
-    word = zetas.necklace_counts_by_trace(8)
-    mat = zetas.matrix_class_counts(8, 40)
+    word = oracles.necklace_counts_by_trace(8)
+    mat = oracles.matrix_class_counts(8, 40)
     ok = all(word.get(t, 0) == mat.get(t, 0) for t in range(3, 9))
     out.append(_check("word vs matrix class counts (t <= 8)", ok))
 
@@ -240,18 +240,17 @@ def suite_regdet(prec: int = 192) -> list[CheckResult]:
 
     with mp.workprec(prec + 16):
         coeffs = gfuncs.ExpansionCoefficients(
-            a2t=Fraction(0), b2=Fraction(0), a1t=Fraction(-1), b1=mpf(0),
+            a2t=Fraction(0), a1t=Fraction(-1), b1=mpf(0),
             a0t=Fraction(1, 2), b0=-mp.log(2 * mp.pi) / 2,
-            prec=prec,
         )
-    inp = regdet.SuperzetaInput(
+    inp = oracles.SuperzetaInput(
         zeros=tuple(-k for k in range(200)), coeffs=coeffs,
         evaluator=lambda w, p: mp.exp(-numerics.log_gamma(w, p)),
     )
     with mp.workprec(prec + 8):
         ok = True
         for zv in (mpf("0.8"), mpf(2), mpf("4.5")):
-            v = regdet.voros_product(inp, zv, prec)
+            v = oracles.voros_product(inp, zv, prec)
             lerch = mp.sqrt(2 * mp.pi) * mp.exp(-numerics.log_gamma(zv, prec))
             ok = ok and abs(v - lerch) < mpf(10) ** (-int(prec * 0.2))
     out.append(_check("Voros product vs Lerch closed form", ok))

@@ -413,8 +413,6 @@ class ModularScattering:
     d(1) = 1, so the degree of singularity is 1 and c1 = c2 = 0.
     """
 
-    k: int = 1
-
     def constants(self):
         return (1, mp.mpf(0), mp.mpf(0))
 
@@ -484,96 +482,6 @@ class GenericScattering:
 
 
 ScatteringModel = ModularScattering | GenericScattering
-
-
-# ---------------------------------------------------------------------------
-# Independent conjugacy-class count (test oracle)
-# ---------------------------------------------------------------------------
-
-
-def _form_reduce_step(form, sq):
-    a, b, c = form
-    ac = abs(c)
-    if ac <= sq:
-        bp = sq - ((sq + b) % (2 * ac))
-    else:
-        r = (-b) % (2 * ac)
-        bp = r if r <= ac else r - 2 * ac
-    cp = (bp * bp - (b * b - 4 * a * c)) // (4 * c)
-    return (c, bp, cp)
-
-
-def _form_is_reduced(form, sq) -> bool:
-    a, b, _ = form
-    if b < 1 or b > sq:
-        return False
-    return sq - b + 1 <= 2 * abs(a) <= sq + b
-
-
-def _form_cycle_key(form, disc):
-    sq = isqrt(disc)
-    f = form
-    for _ in range(10001):
-        if _form_is_reduced(f, sq):
-            break
-        f = _form_reduce_step(f, sq)
-    else:
-        raise RuntimeError("form reduction failed to terminate")
-    cycle = [f]
-    g = _form_reduce_step(f, sq)
-    while g != f:
-        cycle.append(g)
-        g = _form_reduce_step(g, sq)
-    return min(cycle)
-
-
-def matrix_class_counts(tmax: int, entry_bound: int = 60) -> dict[int, int]:
-    """Conjugacy classes of trace-t hyperbolic matrices, 3 <= t <= tmax.
-
-    Brute force: enumerate integer matrices with entries bounded by
-    ``entry_bound``, map each to its fixed-point binary quadratic form
-    (c, d-a, -b) of discriminant t^2 - 4, and Gauss-reduce; classes
-    correspond to reduction cycles.  Counts all classes, including proper
-    powers (the word-side comparison must include imprimitive necklaces).
-    """
-    reps: dict[int, set] = {t: set() for t in range(3, tmax + 1)}
-    for t in range(3, tmax + 1):
-        disc = t * t - 4
-        for a in range(-entry_bound, entry_bound + 1):
-            d = t - a
-            if abs(d) > entry_bound:
-                continue
-            prod = a * d - 1  # = b c
-            if prod == 0:
-                continue  # bc = 0 requires ad = 1, trace +-2: not hyperbolic
-            for b in _divisors_signed(prod, entry_bound):
-                c = prod // b  # nonzero, as prod is
-                if abs(c) > entry_bound:
-                    continue
-                key = _form_cycle_key((c, d - a, -b), disc)
-                reps[t].add(key)
-    return {t: len(v) for t, v in reps.items()}
-
-
-def _divisors_signed(n: int, bound: int):
-    """The divisors b of n with 1 <= |b| <= bound, both signs."""
-    m = abs(n)
-    return [s * b for b in range(1, min(m, bound) + 1) if m % b == 0 for s in (1, -1)]
-
-
-def necklace_counts_by_trace(tmax: int) -> dict[int, int]:
-    """Cyclic L/R words (including proper powers) per trace, word side.
-
-    Each primitive class P of trace t counts once at every
-    tr(P^k) <= tmax, with tr(P^(k+1)) = t tr(P^k) - tr(P^(k-1)).
-    """
-    counts: dict[int, int] = {}
-    for t, _ in _modular_words_up_to_trace(tmax):
-        prev, tr = 2, t
-        while tr <= tmax:
-            counts[tr] = counts.get(tr, 0) + 1
-            prev, tr = tr, t * tr - prev
-    return counts
 
 
 # ---------------------------------------------------------------------------

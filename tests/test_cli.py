@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -321,3 +322,41 @@ def test_detsq_needs_scattering(torus_doc, capsys):
     rc = cli.main(["detsq", "--orbifold", torus_doc, "--z", "3"])
     assert rc == 2
     assert "scattering" in capsys.readouterr().err
+
+
+def test_huge_cusp_count_is_a_document_error(tmp_path):
+    # one entry per cusp would take about 11 GB for 10^8 cusps; in 512 MB of
+    # address space only a refusal before any list is built exits 2
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    doc = {k: v for k, v in TORUS_DOC.items() if k != "cusp_data"}
+    path = tmp_path / "cusps.json"
+    path.write_text(json.dumps(dict(doc, cusps=10**8)))
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "szdet.cli", "mn", "--orbifold", str(path)],
+        capture_output=True, text=True, timeout=30, preexec_fn=limit_memory,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cusps: ")
+
+
+def test_production_modules_load_no_oracles():
+    # detsq and mn run the production modules only: the oracles and the
+    # verify suites that use them load with `szdet verify` alone
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys\n"
+        "import szdet.cli, szdet.regdet, szdet.zetas, szdet.gfuncs\n"
+        "import szdet.elliptic, szdet.orbifold, szdet.numerics\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m in ('szdet.oracles', 'szdet.verify', 'g1_oracles')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

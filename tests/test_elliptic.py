@@ -9,8 +9,6 @@ from mpmath import mp, mpf
 from szdet.elliptic import (
     alpha,
     beta_coeff,
-    case_table_shift,
-    count_multiples,
     g_count,
     m_n_floor,
     m_n_spectral,
@@ -19,6 +17,7 @@ from szdet.elliptic import (
     trig_sum_closed,
 )
 from szdet.errors import DomainError
+from szdet.oracles import case_table_shift, count_multiples
 from szdet.orbifold import (
     OrbifoldData,
     Signature,

@@ -10,6 +10,7 @@ from mpmath import ctx_mp_python, mp, mpc, mpf
 
 from szdet.errors import ConvergenceError, CutoffError, DomainError, PoleError
 from szdet.numerics import riemann_zeta
+from szdet.oracles import matrix_class_counts, necklace_counts_by_trace
 from szdet.zetas import (
     GenericScattering,
     GeodesicClass,
@@ -19,9 +20,7 @@ from szdet.zetas import (
     ModularScattering,
     load_generic_scattering,
     load_geodesic_table,
-    matrix_class_counts,
     modular_geodesics,
-    necklace_counts_by_trace,
     norm_of_trace,
     save_generic_scattering,
     save_geodesic_table,
