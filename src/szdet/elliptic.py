@@ -5,10 +5,12 @@ their wrap counts, the alpha/beta coefficients, the closed form of the
 root-of-unity sine sum and the floor-function formula for the trivial-zero
 multiplicities m_n (the authoritative value).  The spectral form of m_n,
 which `szdet mn` reports against it as a residual, sums the sine sum
-numerically; its one evaluation path is a table over n mod d per (exponent,
-order, precision), memoized by a bounded lru_cache and read by
-trig_sum_brute and m_n_spectral alike.  The direct-iteration oracles for
-g_count and for the wrap counts' case table are in szdet.oracles.
+numerically; its one evaluation path, read by trig_sum_brute and
+m_n_spectral alike, is one entry per (exponent, order, residue n mod d,
+precision), built on demand in O(d) from the exponent's weights; entries
+and weights are memoized by bounded lru_caches.  The direct-iteration
+oracles for g_count and for the wrap counts' case table are in
+szdet.oracles.
 
 Note m_0 = h (2g - 2 + c) for the trivial representation, which is negative
 for small signatures (e.g. -1 for the modular one); negative values are
@@ -84,23 +86,30 @@ def beta_coeff(d: int, exponents, m: int) -> int:
 
 
 @functools.lru_cache(maxsize=512)
-def _sine_sum_table(q: int, d: int, prec: int) -> tuple:
-    """sum_{k=1}^{d-1} omega^(qk) sin(k pi (2r+1)/d) / sin(k pi/d) for r in [0, d).
+def _sine_sum_weights(q: int, d: int, prec: int) -> tuple:
+    """(sins, weights) with sins[j] = sin(j pi/d) for j in [0, 2d) and
+    weights[k-1] = omega^(qk) / sin(k pi/d) for k in [1, d), omega =
+    exp(2 pi i / d), at prec + 8 bits."""
+    with mp.workprec(prec + 8):
+        sins = tuple(mp.sinpi(mp.mpf(j) / d) for j in range(2 * d))
+        roots = [mp.expjpi(2 * mp.mpf(r) / d) for r in range(d)]
+        return sins, tuple(roots[(q * k) % d] / sins[k] for k in range(1, d))
+
+
+@functools.lru_cache(maxsize=8192)
+def _sine_sum(q: int, d: int, r: int, prec: int):
+    """sum_{k=1}^{d-1} omega^(qk) sin(k pi (2r+1)/d) / sin(k pi/d), 0 <= r < d.
 
     omega = exp(2 pi i / d).  The sum depends on n only through r = n mod d,
-    so this one table per exponent q serves every n, both for trig_sum_brute
-    and for the character sums of m_n_spectral.  Entries carry prec + 8 bits.
+    so this one entry per residue serves every n, both for trig_sum_brute
+    and for the character sums of m_n_spectral; an entry costs O(d) once
+    the (q, d, prec) weights exist.  Entries carry prec + 8 bits.
     """
+    sins, weights = _sine_sum_weights(q, d, prec)
     with mp.workprec(prec + 8):
-        sins = [mp.sinpi(mp.mpf(j) / d) for j in range(2 * d)]
-        roots = [mp.expjpi(2 * mp.mpf(r) / d) for r in range(d)]
-        weights = [roots[(q * k) % d] / sins[k] for k in range(1, d)]
-        return tuple(
-            mp.fsum(
-                w * sins[(k * (2 * r + 1)) % (2 * d)]
-                for k, w in enumerate(weights, 1)
-            )
-            for r in range(d)
+        return mp.fsum(
+            w * sins[(k * (2 * r + 1)) % (2 * d)]
+            for k, w in enumerate(weights, 1)
         )
 
 
@@ -119,7 +128,7 @@ def trig_sum_brute(n: int, q: int, d: int, prec: int = DEFAULT_PREC):
     """
     if d < 2 or not 0 <= q <= d - 1 or n < 0:
         raise DomainError("need d >= 2, 0 <= q < d, n >= 0")
-    return _rounded(prec, _sine_sum_table(q, d, prec)[n % d])
+    return _rounded(prec, _sine_sum(q, d, n % d, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +170,7 @@ def m_n_spectral(orb: OrbifoldData, n: int, prec: int = DEFAULT_PREC):
             * sin(k pi (2n+1)/d_R) / sin(k pi / d_R).
 
     As tr(chi^k(R)) = sum_{q in q(R)} omega^(qk), the R term is the sum of
-    the q tables' entries n mod d_R, over d_R.
+    the q entries n mod d_R (one _sine_sum each), over d_R.
 
     Raises NonIntegerError if the result strays more than 10 * 2^(-prec/2)
     from an integer, which would signal an implementation bug.
@@ -174,7 +183,7 @@ def m_n_spectral(orb: OrbifoldData, n: int, prec: int = DEFAULT_PREC):
         total = mp.mpc(mp.mpf(v.numerator) / v.denominator * h * (2 * n + 1))
         for d, qs in orb.elliptic_classes():
             for q in qs:
-                total -= _sine_sum_table(q, d, prec)[n % d] / d
+                total -= _sine_sum(q, d, n % d, prec) / d
         nearest = mp.nint(total.real)
         if abs(total - nearest) > 10 * mp.mpf(2) ** (-prec // 2):
             raise NonIntegerError(

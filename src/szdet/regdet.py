@@ -56,8 +56,12 @@ from .zetas import (
     GeodesicSource,
     ScatteringModel,
     ValueWithTail,
+    lru_lookup,
     selberg_log_z,
 )
+
+# evaluation points whose PointValues a SurfaceContext keeps
+POINT_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,8 @@ class SurfaceContext:
     The degree of singularity implied by the scattering model and the
     dimension of the geodesic source's character must match the
     representation's, which is checked at construction.  The PointValues
-    records are memoized per evaluation point, so each of log Z, log G1 and
-    phi is evaluated once per point.
+    records of the POINT_CACHE_SIZE most recently used evaluation points are
+    kept, so each of log Z, log G1 and phi is evaluated once per point.
     """
 
     orb: OrbifoldData
@@ -124,15 +128,17 @@ class SurfaceContext:
         """The PointValues at z, keyed by z rounded to the context precision;
         raises off Re(z) > 1."""
         key = to_scalar(z, self.prec)
-        if key not in self._point_cache:
-            wp = self.prec + 16
-            with mp.workprec(wp):
-                lz = selberg_log_z(self.source, key, self.cutoff_norm, self.prec)
-                lg1, gamma_part = _log_gamma_part(self, key, wp)
-                self._point_cache[key] = PointValues(
-                    key, lz, lg1, lz.value - gamma_part, self.scattering.phi(key, wp)
-                )
-        return self._point_cache[key]
+        return lru_lookup(self._point_cache, key, lambda: self._evaluate(key),
+                          POINT_CACHE_SIZE)
+
+    def _evaluate(self, key) -> PointValues:
+        wp = self.prec + 16
+        with mp.workprec(wp):
+            lz = selberg_log_z(self.source, key, self.cutoff_norm, self.prec)
+            lg1, gamma_part = _log_gamma_part(self, key, wp)
+            return PointValues(
+                key, lz, lg1, lz.value - gamma_part, self.scattering.phi(key, wp)
+            )
 
 
 def _log_gamma_part(ctx: SurfaceContext, w, prec: int):

@@ -15,9 +15,10 @@ Re(s) > 1; it is summed as one norm series per trace, and evaluations carry
 an explicit truncation tail estimate.  The series' z-independent terms (per
 trace: N, log N and the character-weighted coefficients of N^(-ls)) are
 built by the first log Z call for a (trace bound, precision) pair and kept
-on the geodesic source, so a later call costs one exp per trace.  Those
-coefficients are held as fixed-point integers, and each trace's series is
-summed by a Horner loop in Python integer arithmetic (error bound in
+on the geodesic source, so a later call reads no class.  Those
+coefficients and log N are held as fixed-point integers: per trace, a later
+call forms N^-s from mpmath's fixed-point exp and cos/sin kernels and sums
+the series by a Horner loop, all in Python integer arithmetic (error bound in
 selberg_log_z's docstring).
 
 Scattering determinants come in two flavours: the built-in modular closed
@@ -29,18 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from math import ceil, isqrt
+from math import ceil, isqrt, log
 from typing import NamedTuple, Protocol
 
 from mpmath import mp, mpc
-from mpmath.libmp import (
-    from_man_exp,
-    fzero,
-    mpc_mul,
-    mpf_sub,
-    round_nearest,
-    to_fixed,
-)
+from mpmath.libmp import from_man_exp, fzero, to_fixed
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 
 from .errors import ConvergenceError, CutoffError, DomainError, PoleError
 from .numerics import (
@@ -58,8 +53,13 @@ from .numerics import (
 MAX_ENUMERATED_TRACE = 3000
 
 # fractional bits of the Euler sum's fixed-point Horner loop beyond its
-# working precision (see selberg_log_z)
+# working precision, and the most extra bits its phase Im(s) log N may take
+# (see selberg_log_z)
 _FIXED_GUARD = 24
+_PHASE_BITS = 64
+
+# (trace bound, precision) keys whose Euler-sum records a source keeps
+_TERMS_CACHE_SIZE = 8
 
 
 def _mat_mul(m, n):
@@ -135,7 +135,8 @@ class GeodesicSource(Protocol):
 
     ``_terms`` belongs to ``selberg_log_z``: its first call per (trace bound,
     prec) stores there the z-independent terms of each trace's series, and
-    later calls with that key read no class.
+    later calls with that key read no class while the key is among the
+    _TERMS_CACHE_SIZE most recently used.
     """
 
     dim: int
@@ -284,6 +285,21 @@ class ListGeodesicSource:
                       key=lambda c: (c.trace, c.word))
 
 
+def lru_lookup(cache: dict, key, build, maxsize: int):
+    """cache[key], made by build() on a miss.  The dict's insertion order is
+    its recency order: a hit moves the key to the end, and a miss that
+    would exceed ``maxsize`` entries evicts the first.  A build that raises
+    stores nothing."""
+    try:
+        value = cache.pop(key)
+    except KeyError:
+        value = build()
+        while len(cache) >= maxsize:
+            del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
 class ValueWithTail(NamedTuple):
     value: object
     tail_bound: object
@@ -300,7 +316,9 @@ class _TraceTerms:
     Each c_l is computed at ``wp`` bits and kept once, as the fixed-point
     pair (floor(Re c_l 2^frac), floor(Im c_l 2^frac)) with frac = wp + 24,
     for selberg_log_z's integer Horner loop; ``complex`` records whether any
-    c_l came out as an mpc.
+    c_l came out as an mpc.  log N = 2 acosh(t/2) is kept as the fixed-point
+    integer ``log_fixed`` with frac + _PHASE_BITS fractional bits, enough for
+    the phase Im(s) log N at any |Im s| that selberg_log_z accepts.
     """
 
     def __init__(self, trace: int, classes, wp: int):
@@ -309,9 +327,11 @@ class _TraceTerms:
             groups.setdefault(id(c.chi), [c, 0])[1] += 1
         self.chis, self.coeffs = list(groups.values()), []
         self.norm = norm_of_trace(trace, wp)
-        self.log_norm = mp.log(self.norm)
-        self.ratio = float((wp + 10) * mp.log(2) / self.log_norm)
         self.frac = wp + _FIXED_GUARD
+        with mp.workprec(self.frac + _PHASE_BITS + 8):
+            self.log_norm = 2 * mp.acosh(mp.mpf(trace) / 2)
+            self.log_fixed = to_fixed(self.log_norm._mpf_, self.frac + _PHASE_BITS)
+        self.ratio = float((wp + 10) * mp.log(2) / self.log_norm)
         self.complex = False
 
     def powers(self, sigma) -> int:
@@ -340,23 +360,40 @@ def selberg_log_z(
 
     Each trace contributes one series in its norm N, weighted by the sum of
     tr chi(P0^l) over the trace's classes; those terms are kept on the
-    source (``_terms``), so a warm call costs one exp(-s log N) per trace.
-    The tail estimate covers the classes beyond the cutoff (via the geodesic
-    counting function, with a safety factor) and the truncated l-powers.
+    source (``_terms``, the _TERMS_CACHE_SIZE most recently used keys), so a
+    warm call reads no class.  The tail estimate covers the classes beyond
+    the cutoff (via the geodesic counting function, with a safety factor)
+    and the truncated l-powers.
 
-    Per trace, with p = N^-s, the inner sum c_1 + c_2 p + ... + c_L p^(L-1)
-    runs as a Horner loop over Python integers in fixed point with frac =
-    wp + 24 fractional bits; only p and the result cross to mpmath, where
-    the result is multiplied by p, which keeps its relative accuracy at
-    large Re s.  Error bound: c_l and p are truncated and every step floors
-    its product, each by less than sqrt(2) 2^-frac.  As |p| <= 1/N(3) <
-    0.146, a step shrinks the error it inherits, and the inner sum is off by
-    less than (3.4 + 1.7 A) 2^-frac, with A the largest tail c_l + c_(l+1) p
-    + ... for l >= 2.  When |tr chi| <= dim, A |p| < 0.66 dim n/N < 0.1 dim,
-    n being the number of classes of the trace (n/N peaks at 0.147 at trace
-    3).  So each trace's term is off by less than (0.5 + 0.2 dim) 2^-frac,
-    and the sum over at most MAX_ENUMERATED_TRACE traces by less than
-    2^-(prec + 25) dim: far inside the tail's 2^-prec (1 + |total|)
+    The per-trace work runs in Python integers, in fixed point with frac =
+    wp + 24 fractional bits.  With s = sigma + i tau, p = N^-s is
+    exp_fixed(-sigma log N) (cos, -sin)(tau log N), from mpmath's fixed-point
+    kernels.  The phase tau log N is formed and reduced with e = 1 +
+    ceil(log2(1 + 2 |tau| log t_max)) more fractional bits (N(t) < t^2 for
+    the largest trace t_max), so its error stays within a few 2^-frac at any
+    tau; a call that needs e > _PHASE_BITS = 64 raises DomainError (|tau| 2
+    log t_max >= 2^63, or |tau| >= 5.7e17 at the enumeration limit).
+    A Horner loop sums c_1 + c_2 p + ... + c_L p^(L-1), the result times p
+    is subtracted from two integer totals, and the totals become mpmath
+    numbers once per call.
+
+    Error bound, in units u = 2^-frac.  mpmath's fixed-point exp and
+    cos/sin are accurate to a few u (its own exp and cos/sin add only 10-14
+    guard bits to them); take a few as 4.  The argument sigma log N is off
+    by less than (log N + 2) u, and the phase tau log N, with its reduction
+    mod pi/2, by less than (log N / 4 + 2) u; both errors scale with |p| <=
+    N^-sigma, and |p| (log N + 2) < 0.6 for N >= N(3).  With the floors that
+    form p, p is off by less than 10 u (sampled: at most 2.7 u).  c_l is
+    truncated and every Horner step floors its product, each by less than
+    sqrt(2) u, and |p| <= 1/N(3) < 0.146, so the inner sum H is off by less
+    than (3.4 + 12 A) u, with A the largest tail c_l + c_(l+1) p + ... for
+    l >= 2.  The product p H adds |H| 10 u + sqrt(2) u, with |H| <= |c_1| +
+    A |p|.  When |tr chi| <= dim, |c_1| < 1.2 n dim and A < 0.66 n dim, n
+    being the number of classes of the trace, so the term p H is off by
+    less than (2 + 15 n dim) u, and the sum over T traces and C classes by
+    less than (2 T + 15 C dim) 2^-frac.  With T <= MAX_ENUMERATED_TRACE and
+    C below 2^30 (the modular group has 602,498 classes up to that trace)
+    this is under 2^-(prec + 5) dim: inside the tail's 2^-prec (1 + |total|)
     allowance for rounding.
     """
     wp = prec + 16
@@ -367,31 +404,43 @@ def selberg_log_z(
         sigma = _real(z)
         if sigma <= 1:
             raise ConvergenceError("Euler product requires Re(s) > 1")
-        key = (_max_trace_for_cutoff(cutoff, prec, source.max_trace), prec)
-        if key[0] < 3:
+        tmax = _max_trace_for_cutoff(cutoff, prec, source.max_trace)
+        if tmax < 3:
             raise CutoffError(
                 f"cutoff {cutoff} below the smallest norm {norm_of_trace(3, 53)}"
             )
-        if key not in source._terms:
-            source._terms[key] = [_TraceTerms(t, g, wp) for t, g in
-                                  groupby(source.classes(cutoff, prec), lambda c: c.trace)]
-        is_complex, minus_z, fsigma = isinstance(z, mpc), -z, float(sigma)
-        total_re = total_im = fzero
-        for terms in source._terms[key]:
+        frac, is_complex = wp + _FIXED_GUARD, isinstance(z, mpc)
+        # N(t) < t^2, so one bit over log2(1 + |tau| 2 log t) covers the phase
+        tau = mp.im(z)
+        extra = (int(abs(tau) * (2 * log(tmax))) + 1).bit_length() + 1
+        if extra > _PHASE_BITS:
+            raise DomainError(f"|Im s| = {mp.nstr(abs(tau), 5)} is too large: "
+                              f"the phase needs {extra} extra bits, at most "
+                              f"{_PHASE_BITS}")
+        records = lru_lookup(source._terms, (tmax, prec), lambda: [
+            _TraceTerms(t, g, wp) for t, g in
+            groupby(source.classes(cutoff, prec), lambda c: c.trace)], _TERMS_CACHE_SIZE)
+        fsigma, phase = float(sigma), frac + extra
+        sig, ln2 = to_fixed(sigma._mpf_, frac), ln2_fixed(frac)
+        tau_fixed, pi2 = to_fixed(tau._mpf_, phase), pi_fixed(phase - 1)
+        shift = frac + _PHASE_BITS
+        total_re = total_im = 0
+        for terms in records:
             coeffs = terms.coefficients(terms.powers(fsigma))
             is_complex = is_complex or terms.complex
-            npow = mp.exp(minus_z * terms.log_norm)
-            npow = npow._mpc_ if isinstance(npow, mpc) else (npow._mpf_, fzero)
-            f = terms.frac
-            pr, pi = to_fixed(npow[0], f), to_fixed(npow[1], f)
+            pr = exp_fixed(-((sig * terms.log_fixed) >> shift), frac, ln2)
+            pi = 0
+            if tau_fixed:
+                cos, sin = cos_sin_fixed((tau_fixed * terms.log_fixed) >> shift, phase, pi2)
+                pr, pi = (pr * cos) >> phase, -(pr * sin) >> phase
             ar = ai = 0
             for cr, ci in coeffs:
-                ar, ai = ((ar * pr - ai * pi) >> f) + cr, ((ar * pi + ai * pr) >> f) + ci
-            term_re, term_im = mpc_mul(
-                (from_man_exp(ar, -f), from_man_exp(ai, -f)), npow, wp, round_nearest)
-            total_re = mpf_sub(total_re, term_re, wp, round_nearest)
-            total_im = mpf_sub(total_im, term_im, wp, round_nearest)
-        total = mp.make_mpc((total_re, total_im)) if is_complex else mp.make_mpf(total_re)
+                ar, ai = ((ar * pr - ai * pi) >> frac) + cr, ((ar * pi + ai * pr) >> frac) + ci
+            total_re -= (ar * pr - ai * pi) >> frac
+            total_im -= (ar * pi + ai * pr) >> frac
+        total_re = from_man_exp(total_re, -frac)
+        total = (mp.make_mpc((total_re, from_man_exp(total_im, -frac))) if is_complex
+                 else mp.make_mpf(total_re))
         x = to_scalar(cutoff, wp)
         tail = (
             8 * source.dim * sigma / (sigma - 1) * x ** (1 - sigma) / mp.log(x)

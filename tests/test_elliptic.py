@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from szdet.elliptic import (
+    _sine_sum,
     alpha,
     beta_coeff,
     g_count,
@@ -158,6 +159,38 @@ def test_sine_sum_table_matches_per_call_reference(prec):
             for n in (0, d - 1, d, 2 * d + 3, 400):
                 ref = _reference_trig_sum(n, q, d, prec)
                 assert close(trig_sum_brute(n, q, d, prec), ref), (n, q, d)
+
+
+def _full_sine_sum_table(q, d, prec):
+    """All d residues of the sine sum in one O(d^2) pass: weights
+    omega^(qk) / sin(k pi/d) formed once, then one mp.fsum per residue."""
+    with mp.workprec(prec + 8):
+        sins = [mp.sinpi(mp.mpf(j) / d) for j in range(2 * d)]
+        roots = [mp.expjpi(2 * mp.mpf(r) / d) for r in range(d)]
+        weights = [roots[(q * k) % d] / sins[k] for k in range(1, d)]
+        return tuple(
+            mp.fsum(w * sins[(k * (2 * r + 1)) % (2 * d)] for k, w in enumerate(weights, 1))
+            for r in range(d)
+        )
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+def test_sine_sum_entries_are_bit_identical_to_the_full_table(prec):
+    for d in range(2, 31):
+        for q in range(d):
+            table = _full_sine_sum_table(q, d, prec)
+            for r in reversed(range(d)):  # on demand, in any order
+                assert _sine_sum(q, d, r, prec)._mpc_ == table[r]._mpc_, (q, d, r)
+
+
+def test_sine_sum_builds_only_the_residues_asked_for():
+    # orders (300, 300) and n <= 10 need 11 of the 300 residues
+    sig = Signature(0, 1, (300, 300))
+    orb = OrbifoldData(sig, trivial_rep(sig))
+    _sine_sum.cache_clear()
+    for n in range(11):
+        m_n_spectral(orb, n, 64)
+    assert _sine_sum.cache_info().currsize == 11
 
 
 def test_count_examples():

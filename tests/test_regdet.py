@@ -25,7 +25,9 @@ from szdet.orbifold import (
     trivial_rep,
 )
 from szdet.oracles import SuperzetaInput, superzeta_direct, voros_product
+from szdet import regdet
 from szdet.regdet import (
+    POINT_CACHE_SIZE,
     EulerProductProvider,
     SurfaceContext,
     d_minus,
@@ -42,6 +44,8 @@ from szdet.zetas import (
     GenericScattering,
     ModularGeodesicSource,
     ModularScattering,
+    ValueWithTail,
+    selberg_log_z,
 )
 
 P = 256
@@ -329,7 +333,14 @@ def _small_modular_ctx():
     )
 
 
-def test_each_value_evaluated_once_per_point(call_counts):
+def test_each_value_evaluated_once_per_point(call_counts, monkeypatch):
+    log_z_calls = []
+
+    def counted(*args):
+        log_z_calls.append(args[1])
+        return selberg_log_z(*args)
+
+    monkeypatch.setattr(regdet, "selberg_log_z", counted)
     ctx = _small_modular_ctx()
     z = mpc("2.5", "1")
     det_squared(ctx, z)
@@ -337,6 +348,31 @@ def test_each_value_evaluated_once_per_point(call_counts):
     d_minus(ctx, z)
     phi_from_superzeta(ctx, z)
     assert call_counts == {"log_g1": 1, "phi": 1}
+    assert log_z_calls == [z]
+
+
+def test_point_cache_keeps_the_most_recent_points(monkeypatch):
+    # the evaluations are stubbed: only the cache's bookkeeping is under test
+    evaluated = []
+
+    def log_z(source, z, cutoff, prec):
+        evaluated.append(z)
+        return ValueWithTail(mpf(0), mpf(0))
+
+    monkeypatch.setattr(regdet, "selberg_log_z", log_z)
+    monkeypatch.setattr(regdet, "_log_gamma_part", lambda ctx, w, prec: (mpf(0), mpf(0)))
+    monkeypatch.setattr(ModularScattering, "phi", lambda self, s, prec: mpf(1))
+    ctx = _small_modular_ctx()
+    points = [mpc(2 + mpf(j) / 1024, j % 7) for j in range(10_000)]
+    for z in points:
+        ctx.point(z)
+    assert len(ctx._point_cache) == POINT_CACHE_SIZE
+    assert list(ctx._point_cache) == points[-POINT_CACHE_SIZE:]
+    ctx.point(points[-POINT_CACHE_SIZE])  # a hit moves the point to the end
+    ctx.point(points[0])  # evicted long ago: evaluated again
+    assert len(evaluated) == len(points) + 1
+    assert list(ctx._point_cache)[-2:] == [points[-POINT_CACHE_SIZE], points[0]]
+    assert len(ctx._point_cache) == POINT_CACHE_SIZE
 
 
 def test_d_plus_continuous_on_vertical_line():

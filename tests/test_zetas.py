@@ -27,6 +27,7 @@ from szdet.zetas import (
     selberg_log_z,
     word_matrix,
     word_trace,
+    _TERMS_CACHE_SIZE,
     _TraceTerms,
     _max_trace_for_cutoff,
     _modular_words_up_to_trace,
@@ -293,10 +294,16 @@ def test_fixed_point_kernel_matches_independent_reference(prec):
         table_classes = modular_geodesics(500, prec=prec)
         twisted = _twisted_table(table_classes, powers=100)
     cancelling = _cancelling_table(table_classes, 100, ref_prec + 16)
-    cases = [(modular, 2000, z, mpf) for z in (mpf(3), mpf("1.0625"))]
-    cases += [(modular, 2000, z, mpc) for z in (mpc("2.5", 1), mpc(20, 3))]
+    # 1 + 2^-30 needs the most powers; at 1e3 and 1e6 every N^-s underflows
+    # the fixed point to 0
+    cases = [(modular, 2000, z, mpf)
+             for z in (mpf(3), mpf("1.0625"), 1 + mpf(2) ** -30, mpf(10**3), mpf(10**6))]
+    # at Im s = 1e7 and 1e9 the phase Im(s) log N reaches 3e10: formed at the
+    # working precision it would lose about 35 bits of the angle
+    cases += [(modular, 2000, z, mpc)
+              for z in (mpc("2.5", 1), mpc(20, 3), mpc(2, 10**4), mpc(2, 10**7), mpc(2, 10**9))]
     cases += [(table, 500, z, mpc) for table in (twisted, cancelling)
-              for z in (mpf("2.25"), mpc(3, -1))]
+              for z in (mpf("2.25"), mpc(3, -1), mpf(10**3))]
     for source, cutoff, z, kind in cases:
         got = selberg_log_z(source, z, cutoff, prec).value
         entries = source.classes(cutoff, prec)
@@ -305,6 +312,40 @@ def test_fixed_point_kernel_matches_independent_reference(prec):
         with mp.workprec(ref_prec):
             assert abs(got - ref) <= mpf(2) ** -prec * (1 + abs(ref)), (source, z)
     assert selberg_log_z(cancelling, mpc(3, -1), 500, prec).value == 0
+
+
+def test_phase_past_its_precision_is_refused():
+    # the phase may take 64 extra bits: |Im s| 2 log 44 < 2^63 at cutoff 2000
+    src = ModularGeodesicSource()
+    with pytest.raises(DomainError, match="too large"):
+        selberg_log_z(src, mpc(2, mpf(10) ** 19), 2000, 128)
+    with pytest.raises(DomainError, match="too large"):
+        selberg_log_z(src, mpc(2, "-1e400"), 2000, 128)
+    assert src._terms == {}
+    assert isinstance(selberg_log_z(src, mpc(2, mpf(10) ** 18), 2000, 128).value, mpc)
+
+
+def test_warm_sum_calls_no_mpmath_exp(monkeypatch):
+    # the kernel takes N^-s from mpmath's fixed-point exp and cos/sin; at an
+    # integer Re s the tail's x^(1 - Re s) is an integer power, so a warm
+    # call then reaches no mpmath exp at all
+    from mpmath.libmp import libelefun, libmpc
+
+    src = ModularGeodesicSource()
+    table = _twisted_table(modular_geodesics(500, prec=128))
+    for z in (mpc(3, 1), mpf(4)):
+        selberg_log_z(src, z, 2000, 128)
+        selberg_log_z(table, z, 500, 128)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exp called by a warm Euler sum")
+
+    monkeypatch.setattr(mp, "exp", refuse)
+    for module, name in ((libelefun, "mpf_exp"), (libmpc, "mpf_exp"), (libmpc, "mpc_exp")):
+        monkeypatch.setattr(module, name, refuse)
+    for z in (mpc(3, -2), mpc(4, 5), mpf(3)):
+        selberg_log_z(src, z, 2000, 128)
+        selberg_log_z(table, z, 500, 128)
 
 
 def test_term_count_matches_the_mp_expression():
@@ -400,6 +441,20 @@ def test_trace_terms_are_keyed_by_precision_and_extended_lazily():
     assert got == selberg_log_z(ModularGeodesicSource(), z, cutoff, prec)
     ref = _per_class_log_z(src.classes(cutoff, prec), z, prec)
     assert abs(got.value - ref) < mpf(2) ** (8 - prec) * (1 + abs(ref))
+
+
+def test_source_keeps_the_records_of_its_most_recent_keys():
+    src = ListGeodesicSource(entries=tuple(modular_geodesics(20, prec=64)))
+    precs = range(64, 64 + _TERMS_CACHE_SIZE + 5)
+    for prec in precs:
+        selberg_log_z(src, 3, 20, prec)
+    assert list(src._terms) == [(4, p) for p in precs[-_TERMS_CACHE_SIZE:]]
+    kept = src._terms[(4, precs[-_TERMS_CACHE_SIZE])]
+    selberg_log_z(src, mpc(3, 1), 20, precs[-_TERMS_CACHE_SIZE])  # a hit
+    selberg_log_z(src, 3, 20, precs[0])  # evicted: built again
+    assert len(src._terms) == _TERMS_CACHE_SIZE
+    assert list(src._terms)[-2:] == [(4, precs[-_TERMS_CACHE_SIZE]), (4, precs[0])]
+    assert src._terms[(4, precs[-_TERMS_CACHE_SIZE])] is kept
 
 
 def test_short_chi_table_fails_only_where_powers_are_missing():
