@@ -61,6 +61,9 @@ EXIT_INTERNAL = 70
 
 # the parser builds one entry per cusp; ~115 B each, so 10,000 cost ~1 MB
 MAX_CUSPS = 10_000
+# mn keeps 3d sines and roots of unity per elliptic order d, ~1 KB per unit
+# of d at 256 bits; one order of 10,000 runs mn in ~35 MB
+MAX_ORDER_SUM = 10_000
 
 
 class UsageError(Exception):
@@ -165,6 +168,9 @@ def parse_orbifold_document(doc: dict):
         orders.append(typed(f"elliptic[{i}].order", e["order"], "an integer"))
         exponents.append(
             listed(f"elliptic[{i}].exponents", e["exponents"], "an integer"))
+    if sum(orders) > MAX_ORDER_SUM:
+        fail("elliptic", f"orders summing to {sum(orders)} exceed the limit "
+                         f"of {MAX_ORDER_SUM}")
     h = doc["rep_dim"]
     cusp_spec = doc.get(
         "cusp_data", [{"fixed_dim": h, "angles": []}] * doc["cusps"]

@@ -7,10 +7,10 @@ multiplicities m_n (the authoritative value).  The spectral form of m_n,
 which `szdet mn` reports against it as a residual, sums the sine sum
 numerically; its one evaluation path, read by trig_sum_brute and
 m_n_spectral alike, is one entry per (exponent, order, residue n mod d,
-precision), built on demand in O(d) from the exponent's weights; entries
-and weights are memoized by bounded lru_caches.  The direct-iteration
-oracles for g_count and for the wrap counts' case table are in
-szdet.oracles.
+precision), built on demand in O(d) from the order's sines and roots of
+unity, which every exponent shares; entries, sines and roots are memoized
+by bounded lru_caches.  The direct-iteration oracles for g_count and for
+the wrap counts' case table are in szdet.oracles.
 
 Note m_0 = h (2g - 2 + c) for the trivial representation, which is negative
 for small signatures (e.g. -1 for the modular one); negative values are
@@ -86,14 +86,13 @@ def beta_coeff(d: int, exponents, m: int) -> int:
 
 
 @functools.lru_cache(maxsize=512)
-def _sine_sum_weights(q: int, d: int, prec: int) -> tuple:
-    """(sins, weights) with sins[j] = sin(j pi/d) for j in [0, 2d) and
-    weights[k-1] = omega^(qk) / sin(k pi/d) for k in [1, d), omega =
-    exp(2 pi i / d), at prec + 8 bits."""
+def _sines_and_roots(d: int, prec: int) -> tuple:
+    """(sins, roots) with sins[j] = sin(j pi/d) for j in [0, 2d) and
+    roots[r] = omega^r for r in [0, d), omega = exp(2 pi i / d), at prec + 8
+    bits; every exponent of order d reads the same pair."""
     with mp.workprec(prec + 8):
         sins = tuple(mp.sinpi(mp.mpf(j) / d) for j in range(2 * d))
-        roots = [mp.expjpi(2 * mp.mpf(r) / d) for r in range(d)]
-        return sins, tuple(roots[(q * k) % d] / sins[k] for k in range(1, d))
+        return sins, tuple(mp.expjpi(2 * mp.mpf(r) / d) for r in range(d))
 
 
 @functools.lru_cache(maxsize=8192)
@@ -103,13 +102,13 @@ def _sine_sum(q: int, d: int, r: int, prec: int):
     omega = exp(2 pi i / d).  The sum depends on n only through r = n mod d,
     so this one entry per residue serves every n, both for trig_sum_brute
     and for the character sums of m_n_spectral; an entry costs O(d) once
-    the (q, d, prec) weights exist.  Entries carry prec + 8 bits.
+    the (d, prec) sines and roots exist.  Entries carry prec + 8 bits.
     """
-    sins, weights = _sine_sum_weights(q, d, prec)
+    sins, roots = _sines_and_roots(d, prec)
     with mp.workprec(prec + 8):
         return mp.fsum(
-            w * sins[(k * (2 * r + 1)) % (2 * d)]
-            for k, w in enumerate(weights, 1)
+            roots[(q * k) % d] / sins[k] * sins[(k * (2 * r + 1)) % (2 * d)]
+            for k in range(1, d)
         )
 
 

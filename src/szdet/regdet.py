@@ -56,12 +56,8 @@ from .zetas import (
     GeodesicSource,
     ScatteringModel,
     ValueWithTail,
-    lru_lookup,
     selberg_log_z,
 )
-
-# evaluation points whose PointValues a SurfaceContext keeps
-POINT_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -88,8 +84,9 @@ class SurfaceContext:
     The degree of singularity implied by the scattering model and the
     dimension of the geodesic source's character must match the
     representation's, which is checked at construction.  The PointValues
-    records of the POINT_CACHE_SIZE most recently used evaluation points are
-    kept, so each of log Z, log G1 and phi is evaluated once per point.
+    record of the last evaluation point is kept until a call at another
+    point replaces it, so each of log Z, log G1 and phi is evaluated once
+    while the callers stay at one point.
     """
 
     orb: OrbifoldData
@@ -99,7 +96,7 @@ class SurfaceContext:
     cutoff_norm: object = 10**6
     coeffs: ExpansionCoefficients = field(init=False)
     constants: tuple = field(init=False)
-    _point_cache: dict = field(init=False, default_factory=dict, repr=False)
+    _last_point: Optional[PointValues] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.constants = self.scattering.constants()
@@ -128,8 +125,9 @@ class SurfaceContext:
         """The PointValues at z, keyed by z rounded to the context precision;
         raises off Re(z) > 1."""
         key = to_scalar(z, self.prec)
-        return lru_lookup(self._point_cache, key, lambda: self._evaluate(key),
-                          POINT_CACHE_SIZE)
+        if self._last_point is None or self._last_point.z != key:
+            self._last_point = self._evaluate(key)
+        return self._last_point
 
     def _evaluate(self, key) -> PointValues:
         wp = self.prec + 16

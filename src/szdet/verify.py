@@ -58,7 +58,7 @@ def random_orbifold(rng: random.Random, max_h: int = 3) -> orbifold.OrbifoldData
 # ---------------------------------------------------------------------------
 
 
-def suite_elliptic(prec: int = 192) -> list[CheckResult]:
+def suite_elliptic(prec: int) -> list[CheckResult]:
     out = []
     rng = random.Random(20240901)
     worst = mpf(0)
@@ -115,7 +115,7 @@ def suite_elliptic(prec: int = 192) -> list[CheckResult]:
     return out
 
 
-def suite_special(prec: int = 192) -> list[CheckResult]:
+def suite_special(prec: int) -> list[CheckResult]:
     out = []
     rng = random.Random(7)
     tol = mpf(2) ** (20 - prec)
@@ -164,7 +164,7 @@ def suite_special(prec: int = 192) -> list[CheckResult]:
     return out
 
 
-def suite_scattering(prec: int = 192) -> list[CheckResult]:
+def suite_scattering(prec: int) -> list[CheckResult]:
     out = []
     model = zetas.ModularScattering()
     rng = random.Random(11)
@@ -205,7 +205,7 @@ def suite_scattering(prec: int = 192) -> list[CheckResult]:
     return out
 
 
-def suite_regdet(prec: int = 192) -> list[CheckResult]:
+def suite_regdet(prec: int) -> list[CheckResult]:
     out = []
     orb = orbifold.modular_orbifold()
     ctx = regdet.SurfaceContext(
@@ -272,7 +272,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, prec: int = 192) -> list[CheckResult]:
+def run_suite(name: str, prec: int) -> list[CheckResult]:
     if name == "all":
         return [r for suite in SUITES.values() for r in suite(prec)]
     if name not in SUITES:

@@ -15,11 +15,12 @@ Re(s) > 1; it is summed as one norm series per trace, and evaluations carry
 an explicit truncation tail estimate.  The series' z-independent terms (per
 trace: N, log N and the character-weighted coefficients of N^(-ls)) are
 built by the first log Z call for a (trace bound, precision) pair and kept
-on the geodesic source, so a later call reads no class.  Those
-coefficients and log N are held as fixed-point integers: per trace, a later
-call forms N^-s from mpmath's fixed-point exp and cos/sin kernels and sums
-the series by a Horner loop, all in Python integer arithmetic (error bound in
-selberg_log_z's docstring).
+on the geodesic source until a call with another pair replaces them, so a
+later call with that pair reads no class.  Those coefficients and log N are
+held as fixed-point integers: per trace, a later call forms N^-s from
+mpmath's fixed-point exp and cos/sin kernels and sums the series by a Horner
+loop, all in Python integer arithmetic (error bound in selberg_log_z's
+docstring).
 
 Scattering determinants come in two flavours: the built-in modular closed
 form sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)) and a generic
@@ -57,9 +58,6 @@ MAX_ENUMERATED_TRACE = 3000
 # (see selberg_log_z)
 _FIXED_GUARD = 24
 _PHASE_BITS = 64
-
-# (trace bound, precision) keys whose Euler-sum records a source keeps
-_TERMS_CACHE_SIZE = 8
 
 
 def _mat_mul(m, n):
@@ -133,10 +131,9 @@ class GeodesicSource(Protocol):
     ``max_trace`` is the largest trace the source can list classes up to;
     a cutoff whose trace bound lies beyond it is refused.
 
-    ``_terms`` belongs to ``selberg_log_z``: its first call per (trace bound,
-    prec) stores there the z-independent terms of each trace's series, and
-    later calls with that key read no class while the key is among the
-    _TERMS_CACHE_SIZE most recently used.
+    ``_terms`` belongs to ``selberg_log_z``: it holds the z-independent terms
+    of each trace's series under their (trace bound, prec) key, for the last
+    key only, so later calls with that key read no class.
     """
 
     dim: int
@@ -285,21 +282,6 @@ class ListGeodesicSource:
                       key=lambda c: (c.trace, c.word))
 
 
-def lru_lookup(cache: dict, key, build, maxsize: int):
-    """cache[key], made by build() on a miss.  The dict's insertion order is
-    its recency order: a hit moves the key to the end, and a miss that
-    would exceed ``maxsize`` entries evicts the first.  A build that raises
-    stores nothing."""
-    try:
-        value = cache.pop(key)
-    except KeyError:
-        value = build()
-        while len(cache) >= maxsize:
-            del cache[next(iter(cache))]
-    cache[key] = value
-    return value
-
-
 class ValueWithTail(NamedTuple):
     value: object
     tail_bound: object
@@ -360,10 +342,10 @@ def selberg_log_z(
 
     Each trace contributes one series in its norm N, weighted by the sum of
     tr chi(P0^l) over the trace's classes; those terms are kept on the
-    source (``_terms``, the _TERMS_CACHE_SIZE most recently used keys), so a
-    warm call reads no class.  The tail estimate covers the classes beyond
-    the cutoff (via the geodesic counting function, with a safety factor)
-    and the truncated l-powers.
+    source (``_terms``, for the last (trace bound, prec) key), so a warm call
+    reads no class.  The tail estimate covers the classes beyond the cutoff
+    (via the geodesic counting function, with a safety factor) and the
+    truncated l-powers.
 
     The per-trace work runs in Python integers, in fixed point with frac =
     wp + 24 fractional bits.  With s = sigma + i tau, p = N^-s is
@@ -417,9 +399,12 @@ def selberg_log_z(
             raise DomainError(f"|Im s| = {mp.nstr(abs(tau), 5)} is too large: "
                               f"the phase needs {extra} extra bits, at most "
                               f"{_PHASE_BITS}")
-        records = lru_lookup(source._terms, (tmax, prec), lambda: [
-            _TraceTerms(t, g, wp) for t, g in
-            groupby(source.classes(cutoff, prec), lambda c: c.trace)], _TERMS_CACHE_SIZE)
+        records = source._terms.get((tmax, prec))
+        if records is None:
+            records = [_TraceTerms(t, g, wp) for t, g in
+                       groupby(source.classes(cutoff, prec), lambda c: c.trace)]
+            source._terms.clear()
+            source._terms[tmax, prec] = records
         fsigma, phase = float(sigma), frac + extra
         sig, ln2 = to_fixed(sigma._mpf_, frac), ln2_fixed(frac)
         tau_fixed, pi2 = to_fixed(tau._mpf_, phase), pi_fixed(phase - 1)

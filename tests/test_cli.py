@@ -270,13 +270,21 @@ def test_modular_scattering_requires_modular_signature(tmp_path, capsys):
     assert "modular" in capsys.readouterr().err
 
 
-def test_detsq_evaluates_each_value_once(modular_doc, call_counts, capsys):
+def test_detsq_evaluates_each_value_once(modular_doc, call_counts, monkeypatch, capsys):
+    log_z_points = []
+
+    def counted(source, z, cutoff, prec):
+        log_z_points.append(z)
+        return selberg_log_z(source, z, cutoff, prec)
+
+    monkeypatch.setattr(cli.regdet, "selberg_log_z", counted)
     rc = cli.main([
         "detsq", "--orbifold", modular_doc, "--z", "2.5,1",
         "--prec", "64", "--cutoff-norm", "100",
     ])
     assert rc == 0
     assert call_counts == {"log_g1": 1, "phi": 1}
+    assert len(log_z_points) == 1
 
 
 def test_detsq_refuses_non_modular_geodesics(tmp_path, capsys):
@@ -324,23 +332,42 @@ def test_detsq_needs_scattering(torus_doc, capsys):
     assert "scattering" in capsys.readouterr().err
 
 
-def test_huge_cusp_count_is_a_document_error(tmp_path):
-    # one entry per cusp would take about 11 GB for 10^8 cusps; in 512 MB of
-    # address space only a refusal before any list is built exits 2
+def _mn_in_512_mb(path):
+    """`szdet mn` on the document at path, in 512 MB of address space."""
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 
-    doc = {k: v for k, v in TORUS_DOC.items() if k != "cusp_data"}
-    path = tmp_path / "cusps.json"
-    path.write_text(json.dumps(dict(doc, cusps=10**8)))
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "szdet.cli", "mn", "--orbifold", str(path)],
         capture_output=True, text=True, timeout=30, preexec_fn=limit_memory,
         env=dict(os.environ, PYTHONPATH=str(src)),
     )
+
+
+def test_huge_cusp_count_is_a_document_error(tmp_path):
+    # one entry per cusp would take about 11 GB for 10^8 cusps; in 512 MB of
+    # address space only a refusal before any list is built exits 2
+    doc = {k: v for k, v in TORUS_DOC.items() if k != "cusp_data"}
+    path = tmp_path / "cusps.json"
+    path.write_text(json.dumps(dict(doc, cusps=10**8)))
+    proc = _mn_in_512_mb(path)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: cusps: ")
+
+
+def test_huge_elliptic_orders_are_a_document_error(tmp_path):
+    # mn keeps about 1 KB per unit of order, some 100 GB for an order of
+    # 10^8; in 512 MB only a refusal before any per-order table exits 2
+    elliptic = [{"order": 5000, "exponents": [0]}, {"order": 10**8, "exponents": [0]}]
+    path = tmp_path / "orders.json"
+    path.write_text(json.dumps(dict(TORUS_DOC, elliptic=elliptic)))
+    proc = _mn_in_512_mb(path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: elliptic: ")
+    path.write_text(json.dumps(dict(TORUS_DOC, elliptic=[
+        {"order": 5000, "exponents": [0]}, {"order": 5001, "exponents": [0]}])))
+    assert cli.main(["mn", "--orbifold", str(path), "--n-max", "0"]) == 2
 
 
 def test_production_modules_load_no_oracles():

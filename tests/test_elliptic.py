@@ -8,6 +8,7 @@ from mpmath import mp, mpf
 
 from szdet.elliptic import (
     _sine_sum,
+    _sines_and_roots,
     alpha,
     beta_coeff,
     g_count,
@@ -20,7 +21,9 @@ from szdet.elliptic import (
 from szdet.errors import DomainError
 from szdet.oracles import case_table_shift, count_multiples
 from szdet.orbifold import (
+    CuspData,
     OrbifoldData,
+    RepresentationData,
     Signature,
     modular_orbifold,
     trivial_rep,
@@ -191,6 +194,17 @@ def test_sine_sum_builds_only_the_residues_asked_for():
     for n in range(11):
         m_n_spectral(orb, n, 64)
     assert _sine_sum.cache_info().currsize == 11
+
+
+def test_exponents_of_one_order_share_its_sines_and_roots():
+    # 40 exponents of one order 40: one table of sines and roots, not 40
+    sig = Signature(1, 1, (40,))
+    rep = RepresentationData(40, (tuple(range(40)),), (CuspData(40),))
+    _sine_sum.cache_clear()
+    _sines_and_roots.cache_clear()
+    m_n_spectral(OrbifoldData(sig, rep), 3, 64)
+    assert _sine_sum.cache_info().currsize == 40
+    assert _sines_and_roots.cache_info().misses == 1
 
 
 def test_count_examples():

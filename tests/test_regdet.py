@@ -27,7 +27,6 @@ from szdet.orbifold import (
 from szdet.oracles import SuperzetaInput, superzeta_direct, voros_product
 from szdet import regdet
 from szdet.regdet import (
-    POINT_CACHE_SIZE,
     EulerProductProvider,
     SurfaceContext,
     d_minus,
@@ -347,12 +346,13 @@ def test_each_value_evaluated_once_per_point(call_counts, monkeypatch):
     d_plus(ctx, z)
     d_minus(ctx, z)
     phi_from_superzeta(ctx, z)
+    ctx.log_z(z)
     assert call_counts == {"log_g1": 1, "phi": 1}
     assert log_z_calls == [z]
 
 
-def test_point_cache_keeps_the_most_recent_points(monkeypatch):
-    # the evaluations are stubbed: only the cache's bookkeeping is under test
+def test_point_memo_keeps_the_last_point(monkeypatch):
+    # the evaluations are stubbed: only the memo's bookkeeping is under test
     evaluated = []
 
     def log_z(source, z, cutoff, prec):
@@ -363,16 +363,30 @@ def test_point_cache_keeps_the_most_recent_points(monkeypatch):
     monkeypatch.setattr(regdet, "_log_gamma_part", lambda ctx, w, prec: (mpf(0), mpf(0)))
     monkeypatch.setattr(ModularScattering, "phi", lambda self, s, prec: mpf(1))
     ctx = _small_modular_ctx()
-    points = [mpc(2 + mpf(j) / 1024, j % 7) for j in range(10_000)]
-    for z in points:
-        ctx.point(z)
-    assert len(ctx._point_cache) == POINT_CACHE_SIZE
-    assert list(ctx._point_cache) == points[-POINT_CACHE_SIZE:]
-    ctx.point(points[-POINT_CACHE_SIZE])  # a hit moves the point to the end
-    ctx.point(points[0])  # evicted long ago: evaluated again
-    assert len(evaluated) == len(points) + 1
-    assert list(ctx._point_cache)[-2:] == [points[-POINT_CACHE_SIZE], points[0]]
-    assert len(ctx._point_cache) == POINT_CACHE_SIZE
+    first, second = mpc(2, 1), mpc("2.5", 1)
+    kept = ctx.point(first)
+    assert ctx.point(first) is kept and ctx.point(mpf(2) + 1j) is kept
+    assert ctx.point(second).z == second  # a new point replaces the last
+    assert ctx.point(first) is not kept  # and the old one is evaluated again
+    assert evaluated == [first, second, first]
+
+
+def test_failed_evaluation_keeps_the_last_point_and_records(monkeypatch):
+    ctx = _small_modular_ctx()
+    kept = ctx.point(mpc(3, 1))
+    records = ctx.source._terms[(10, 64)]
+    with pytest.raises(ConvergenceError):
+        ctx.point(mpc("0.5", 1))  # refused before the records are read
+
+    def refuse(self, s, prec):
+        raise ProviderDomainError("phi refused")
+
+    monkeypatch.setattr(ModularScattering, "phi", refuse)
+    with pytest.raises(ProviderDomainError):
+        ctx.point(mpc(2, 1))  # refused after log Z read the records
+    assert ctx.point(mpc(3, 1)) is kept
+    assert list(ctx.source._terms) == [(10, 64)]
+    assert ctx.source._terms[(10, 64)] is records
 
 
 def test_d_plus_continuous_on_vertical_line():

@@ -27,7 +27,6 @@ from szdet.zetas import (
     selberg_log_z,
     word_matrix,
     word_trace,
-    _TERMS_CACHE_SIZE,
     _TraceTerms,
     _max_trace_for_cutoff,
     _modular_words_up_to_trace,
@@ -443,18 +442,18 @@ def test_trace_terms_are_keyed_by_precision_and_extended_lazily():
     assert abs(got.value - ref) < mpf(2) ** (8 - prec) * (1 + abs(ref))
 
 
-def test_source_keeps_the_records_of_its_most_recent_keys():
+def test_source_keeps_the_records_of_its_last_key():
     src = ListGeodesicSource(entries=tuple(modular_geodesics(20, prec=64)))
-    precs = range(64, 64 + _TERMS_CACHE_SIZE + 5)
-    for prec in precs:
-        selberg_log_z(src, 3, 20, prec)
-    assert list(src._terms) == [(4, p) for p in precs[-_TERMS_CACHE_SIZE:]]
-    kept = src._terms[(4, precs[-_TERMS_CACHE_SIZE])]
-    selberg_log_z(src, mpc(3, 1), 20, precs[-_TERMS_CACHE_SIZE])  # a hit
-    selberg_log_z(src, 3, 20, precs[0])  # evicted: built again
-    assert len(src._terms) == _TERMS_CACHE_SIZE
-    assert list(src._terms)[-2:] == [(4, precs[-_TERMS_CACHE_SIZE]), (4, precs[0])]
-    assert src._terms[(4, precs[-_TERMS_CACHE_SIZE])] is kept
+    selberg_log_z(src, 3, 20, 64)
+    kept = src._terms[(4, 64)]
+    selberg_log_z(src, mpc(3, 1), 20, 64)  # the same key reads the same records
+    assert list(src._terms) == [(4, 64)] and src._terms[(4, 64)] is kept
+    selberg_log_z(src, 3, 20, 65)  # a new precision replaces them
+    assert list(src._terms) == [(4, 65)]
+    selberg_log_z(src, 3, 7, 65)  # and so does a new trace bound
+    assert list(src._terms) == [(3, 65)]
+    selberg_log_z(src, 3, 20, 64)  # the first key is built again on return
+    assert list(src._terms) == [(4, 64)] and src._terms[(4, 64)] is not kept
 
 
 def test_short_chi_table_fails_only_where_powers_are_missing():
