@@ -23,7 +23,7 @@ from .errors import ConvergenceError, CutError, DomainError
 from .gfuncs import ExpansionCoefficients, _beta_table, g1_coefficients
 from .numerics import DEFAULT_PREC, _is_real, _real, _rounded, plog, to_scalar
 from .orbifold import OrbifoldData, vol_over_2pi
-from .zetas import ValueWithTail, _modular_words_up_to_trace
+from .zetas import ValueWithTail, _modular_walk
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,7 @@ def necklace_counts_by_trace(tmax: int) -> dict[int, int]:
     tr(P^k) <= tmax, with tr(P^(k+1)) = t tr(P^k) - tr(P^(k-1)).
     """
     counts: dict[int, int] = {}
-    for t, _ in _modular_words_up_to_trace(tmax):
+    for t, _ in _modular_walk(tmax):
         prev, tr = 2, t
         while tr <= tmax:
             counts[tr] = counts.get(tr, 0) + 1

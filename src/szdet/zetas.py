@@ -1,13 +1,12 @@
 """Selberg zeta function via its Euler product, and scattering determinants.
 
-Geodesics: primitive hyperbolic conjugacy classes of the modular group are
-enumerated as canonical cyclic words in the parabolic generators
-L = [[1,1],[0,1]] and R = [[1,0],[1,1]] (pure powers of one letter are
-parabolic and excluded).  Canonical form = lexicographically minimal
-rotation; the canonical words of primitive classes are the Lyndon words over
-the blocks L^a R^b, and the enumerator walks exactly those.  Norms are
-N(P0) = ((t + sqrt(t^2-4))/2)^2 with t the integer trace, so classes carry
-no norm, a norm cutoff is a trace bound and classes are sorted by trace.
+Geodesics: primitive hyperbolic classes of the modular group are cyclic
+words in L = [[1,1],[0,1]] and R = [[1,0],[1,1]] with both letters, written
+as their least rotations: the Lyndon words over the blocks L^a R^b, which
+one walk visits.  Norms are N(P0) = ((t + sqrt(t^2-4))/2)^2 with t the
+integer trace, so a norm cutoff is a trace bound, and with the trivial
+character the Euler sum needs only the number of classes of each trace:
+the modular source counts the walk's traces and builds no word.
 
 log Z(s) = - sum over primitive classes P0 and powers l >= 1 of
 tr chi(P0^l) / (l (1 - N(P0)^-l) N(P0)^{l s}), absolutely convergent for
@@ -29,6 +28,7 @@ Dirichlet-series model L(s) H(s) with user-supplied coefficients.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import groupby
 from math import ceil, isqrt, log
@@ -50,7 +50,7 @@ from .numerics import (
     to_scalar,
 )
 
-# the walk over words finishes in seconds up to this trace (norm ~9.0e6)
+# the walk counts the 602,498 classes up to this trace (norm ~9.0e6) in ~1 s
 MAX_ENUMERATED_TRACE = 3000
 
 # fractional bits of the Euler sum's fixed-point Horner loop beyond its
@@ -99,36 +99,36 @@ def norm_of_trace(t: int, prec: int = DEFAULT_PREC):
 class GeodesicClass:
     """A primitive hyperbolic conjugacy class with its character data.
 
-    ``chi`` is ('trivial', h) or ('table', trace tuple); chi_trace(l)
-    evaluates tr chi(P0^l).  The Euler sum groups a trace's classes by the
-    identity of their ``chi`` object, so sources hand classes with one
-    character the same tuple.
+    ``chi`` is ('trivial', h) or ('table', trace tuple), read by chi_trace.
+    ListGeodesicSource groups a trace's classes by the identity of ``chi``,
+    so a list or table hands classes with one character the same tuple.
     """
 
     word: str
     trace: int
     chi: tuple = ("trivial", 1)
 
-    def chi_trace(self, ell: int):
-        kind, data = self.chi
-        if kind == "trivial":
-            return mp.mpf(data)
-        if kind == "table":
-            if ell > len(data):
-                raise DomainError(
-                    f"chi trace table for {self.word} holds only "
-                    f"{len(data)} powers, requested {ell}"
-                )
-            return data[ell - 1]
-        raise DomainError(f"unknown chi kind {kind!r}")
+
+def chi_trace(chi: tuple, ell: int, trace: int):
+    """tr chi(P0^ell) for a class of the given trace with character ``chi``."""
+    kind, data = chi
+    if kind == "trivial":
+        return mp.mpf(data)
+    if kind == "table":
+        if ell > len(data):
+            raise DomainError(f"chi trace table for a class of trace {trace} "
+                              f"holds only {len(data)} powers, requested {ell}")
+        return data[ell - 1]
+    raise DomainError(f"unknown chi kind {kind!r}")
 
 
 class GeodesicSource(Protocol):
-    """Complete, duplicate-free classes with norm <= cutoff, sorted by
-    (trace, word): log Z sums one norm series per run of equal traces.  A
-    source that cannot list every class under the cutoff raises CutoffError.
+    """The classes with norm <= cutoff, counted per trace and character:
+    classes() returns (trace, ((chi, multiplicity), ...)) in ascending trace,
+    every class counted once, and log Z sums one norm series per trace.  A
+    source that cannot count every class under the cutoff raises CutoffError.
 
-    ``max_trace`` is the largest trace the source can list classes up to;
+    ``max_trace`` is the largest trace the source can count classes up to;
     a cutoff whose trace bound lies beyond it is refused.
 
     ``_terms`` belongs to ``selberg_log_z``: it holds the z-independent terms
@@ -140,7 +140,7 @@ class GeodesicSource(Protocol):
     max_trace: int
     _terms: dict
 
-    def classes(self, norm_cutoff, prec: int) -> list[GeodesicClass]: ...
+    def classes(self, norm_cutoff, prec: int) -> list[tuple[int, tuple]]: ...
 
 
 def _max_trace_for_cutoff(norm_cutoff, prec: int, limit: int | None = None) -> int:
@@ -168,8 +168,9 @@ def _max_trace_for_cutoff(norm_cutoff, prec: int, limit: int | None = None) -> i
         return t  # < 3 when no class fits
 
 
-def _modular_words_up_to_trace(tmax: int):
-    """Primitive classes with trace <= tmax as sorted (trace, word) pairs.
+def _modular_walk(tmax: int):
+    """(trace, blocks) of each primitive class with trace <= tmax, blocks
+    being the exponents (a, b) of its canonical word L^a R^b L^a' R^b' ...
 
     A class's canonical word is its lexicographically least rotation, which
     starts with a longest L-run and so is a sequence of blocks L^a R^b
@@ -180,15 +181,14 @@ def _modular_words_up_to_trace(tmax: int):
     and Wang, J. Algorithms 13 (1992)): with p the length of the longest
     Lyndon prefix, a block may extend the word when it is >= the block p
     places back; an equal block keeps p and a larger one makes the extended
-    word Lyndon, so each class is emitted exactly once.  All matrix entries
+    word Lyndon, so each class is yielded exactly once.  All matrix entries
     stay nonnegative, so the trace is monotone in every block exponent and
     each exponent loop stops at its first overshoot.
     """
-    out = []
-    # stack holds (matrix, word, blocks, p) for each prenecklace
-    stack = [((1, 0, 0, 1), "", (), 0)]
+    # stack holds (matrix, blocks, p) for each prenecklace
+    stack = [((1, 0, 0, 1), (), 0)]
     while stack:
-        m, w, blocks, p = stack.pop()
+        m, blocks, p = stack.pop()
         n = len(blocks)
         # the first block is unconstrained: every block within tmax has
         # a < tmax - 1 and b >= 1, so it is larger than (tmax, 0)
@@ -204,54 +204,55 @@ def _modular_words_up_to_trace(tmax: int):
                 tr = full[0] + full[3]
                 if tr > tmax:
                     break
-                word = w + "L" * a + "R" * b
+                longer = blocks + ((a, b),)
                 q = p if (a, b) == (ra, rb) else n + 1
                 if q == n + 1:
-                    out.append((tr, word))
-                stack.append((full, word, blocks + ((a, b),), q))
+                    yield tr, longer
+                stack.append((full, longer, q))
                 b += 1
-    out.sort()
-    return out
 
 
-def modular_geodesics(
-    norm_cutoff,
-    dim: int = 1,
-    prec: int = DEFAULT_PREC,
-) -> list[GeodesicClass]:
-    """Primitive hyperbolic classes of the modular group with norm <= cutoff,
-    each with the trivial dim-dimensional character (tr chi = dim), all
-    sharing one ``chi`` tuple.  Raises CutoffError below the smallest norm
-    and above the norm of trace MAX_ENUMERATED_TRACE.
-    """
+def _modular_words_up_to_trace(tmax: int):
+    """Primitive classes with trace <= tmax as sorted (trace, word) pairs."""
+    return sorted((tr, "".join(["L" * a + "R" * b for a, b in blocks]))
+                  for tr, blocks in _modular_walk(tmax))
+
+
+def _modular_trace_bound(norm_cutoff, prec: int) -> int:
+    """The trace bound of a cutoff, refused outside N(3)..N(MAX_ENUMERATED_TRACE)."""
     tmax = _max_trace_for_cutoff(norm_cutoff, prec, MAX_ENUMERATED_TRACE)
     if tmax < 3:
-        raise CutoffError(
-            f"cutoff {norm_cutoff} below the smallest norm "
-            f"{norm_of_trace(3, 53)}"
-        )
+        raise CutoffError(f"cutoff {norm_cutoff} below the smallest norm "
+                          f"{norm_of_trace(3, 53)}")
     if tmax > MAX_ENUMERATED_TRACE:
         limit = mp.nstr(norm_of_trace(MAX_ENUMERATED_TRACE, 53), 10)
-        raise CutoffError(
-            f"cutoff {norm_cutoff} above the enumeration limit: norm {limit} "
-            f"(trace {MAX_ENUMERATED_TRACE})"
-        )
+        raise CutoffError(f"cutoff {norm_cutoff} above the enumeration limit: "
+                          f"norm {limit} (trace {MAX_ENUMERATED_TRACE})")
+    return tmax
+
+
+def modular_geodesics(norm_cutoff, dim: int = 1, prec: int = DEFAULT_PREC):
+    """The modular group's primitive classes with norm <= cutoff by (trace,
+    word), sharing one trivial ``chi`` of dimension dim: a listing for tables
+    and tests, which the Euler sum does not read."""
     chi = ("trivial", dim)
-    return [GeodesicClass(word=w, trace=tr, chi=chi)
-            for tr, w in _modular_words_up_to_trace(tmax)]
+    return [GeodesicClass(word=w, trace=tr, chi=chi) for tr, w in
+            _modular_words_up_to_trace(_modular_trace_bound(norm_cutoff, prec))]
 
 
 @dataclass
 class ModularGeodesicSource:
-    """Modular-group classes, enumerated afresh by each classes() call; the
-    Euler sum keeps what it needs in ``_terms``."""
+    """Modular-group classes, counted per trace afresh by each classes()
+    call; the Euler sum keeps what it needs in ``_terms``."""
 
     dim: int = 1
     _terms: dict = field(default_factory=dict, compare=False, repr=False)
     max_trace = MAX_ENUMERATED_TRACE
 
     def classes(self, norm_cutoff, prec: int = DEFAULT_PREC):
-        return modular_geodesics(norm_cutoff, dim=self.dim, prec=prec)
+        chi, counts = ("trivial", self.dim), Counter(
+            tr for tr, _ in _modular_walk(_modular_trace_bound(norm_cutoff, prec)))
+        return [(tr, ((chi, counts[tr]),)) for tr in sorted(counts)]
 
 
 @dataclass
@@ -278,8 +279,11 @@ class ListGeodesicSource:
                 f"cutoff {norm_cutoff} reaches past the class list, which "
                 f"is complete only up to trace {self.max_trace}"
             )
-        return sorted((c for c in self.entries if c.trace <= tmax),
-                      key=lambda c: (c.trace, c.word))
+        groups = {}
+        for c in sorted((c for c in self.entries if c.trace <= tmax),
+                        key=lambda c: (c.trace, c.word)):
+            groups.setdefault(c.trace, {}).setdefault(id(c.chi), [c.chi, 0])[1] += 1
+        return [(tr, tuple(map(tuple, g.values()))) for tr, g in groups.items()]
 
 
 class ValueWithTail(NamedTuple):
@@ -290,10 +294,10 @@ class ValueWithTail(NamedTuple):
 class _TraceTerms:
     """The z-independent part of one trace's norm series in log Z: log N and
     c_l = (sum of tr chi(P0^l) over the trace's classes) / (l (1 - N^-l)),
-    built on demand up to the most powers a call has needed.  Classes are
-    grouped by their ``chi`` object; each group keeps one class, whose
-    chi_trace serves them all, and its size.  ``wp`` is selberg_log_z's
-    working precision, prec + 16.
+    built on demand up to the most powers a call has needed.  ``groups``
+    holds the (chi, multiplicity) pairs of a source's classes(), so each
+    distinct character is evaluated once per power.  ``wp`` is
+    selberg_log_z's working precision, prec + 16.
 
     Each c_l is computed at ``wp`` bits and kept once, as the fixed-point
     pair (floor(Re c_l 2^frac), floor(Im c_l 2^frac)) with frac = wp + 24,
@@ -303,11 +307,8 @@ class _TraceTerms:
     the phase Im(s) log N at any |Im s| that selberg_log_z accepts.
     """
 
-    def __init__(self, trace: int, classes, wp: int):
-        groups = {}
-        for c in classes:
-            groups.setdefault(id(c.chi), [c, 0])[1] += 1
-        self.chis, self.coeffs = list(groups.values()), []
+    def __init__(self, trace: int, groups, wp: int):
+        self.trace, self.groups, self.coeffs = trace, groups, []
         self.norm = norm_of_trace(trace, wp)
         self.frac = wp + _FIXED_GUARD
         with mp.workprec(self.frac + _PHASE_BITS + 8):
@@ -324,7 +325,7 @@ class _TraceTerms:
     def coefficients(self, lmax: int) -> list:
         """The fixed-point pairs of c_lmax, ..., c_1: Horner order."""
         for ell in range(len(self.coeffs) + 1, lmax + 1):
-            chi = mp.fdot((n, c.chi_trace(ell)) for c, n in self.chis)
+            chi = mp.fdot((n, chi_trace(c, ell, self.trace)) for c, n in self.groups)
             c = chi / (ell * (1 - self.norm ** (-ell)))
             if isinstance(c, mpc):
                 self.complex = True
@@ -401,8 +402,7 @@ def selberg_log_z(
                               f"{_PHASE_BITS}")
         records = source._terms.get((tmax, prec))
         if records is None:
-            records = [_TraceTerms(t, g, wp) for t, g in
-                       groupby(source.classes(cutoff, prec), lambda c: c.trace)]
+            records = [_TraceTerms(t, g, wp) for t, g in source.classes(cutoff, prec)]
             source._terms.clear()
             source._terms[tmax, prec] = records
         fsigma, phase = float(sigma), frac + extra
@@ -539,7 +539,7 @@ def save_geodesic_table(path, classes, prec: int = DEFAULT_PREC):
         for cls in classes:
             traces = []
             for ell in range(1, powers[cls.trace] + 1):
-                v = mp.mpc(cls.chi_trace(ell))
+                v = mp.mpc(chi_trace(cls.chi, ell, cls.trace))
                 traces.append(
                     f"{mp.nstr(v.real, digits)},{mp.nstr(v.imag, digits)}"
                 )
@@ -580,6 +580,27 @@ def _table_trace(word: str, text: str, where: str) -> int:
     return trace
 
 
+def _table_word(word: str, where: str, lineno: int, first: dict):
+    """Refuse a word that would count one class more than the group has: a
+    proper power, a rotation other than the least, or a repeated line.  The
+    least rotation of a primitive class is a Lyndon word: it starts with L,
+    ends with R and lies below its suffix at each later block start (after
+    an RL), and a proper power fails at the start of its second period."""
+    j = word.find("RL")
+    while j >= 0 and word[j + 1:] > word:
+        j = word.find("RL", j + 1)
+    if j >= 0 or word[0] != "L" or word[-1] != "R":
+        doubled, n = word + word, len(word)
+        if doubled.find(word, 1) != n:
+            raise DomainError(f"{where}: {word} is a proper power, not a primitive class")
+        least = min(doubled[i:i + n] for i in range(n))
+        raise DomainError(f"{where}: {word} is not the least rotation of its "
+                          f"class, {least}")
+    if word in first:
+        raise DomainError(f"{where}: {word} repeats line {first[word]}")
+    first[word] = lineno
+
+
 def _parsed(memo: dict, text: str, parse, where: str):
     value = memo.get(text)
     if value is None:
@@ -599,10 +620,12 @@ def load_geodesic_table(path, dim: int = 1, prec: int = DEFAULT_PREC) -> ListGeo
     column must equal the trace of the word's matrix, the norm column is
     parsed but not kept, and a character cell holds one or two numbers ('re'
     or 're,im').  A short line, a malformed or non-finite number, a letter
-    other than L and R, or a trace that does not match the word or is below
-    3 raises DomainError naming the file and the first line where it occurs.
+    other than L and R, a trace that does not match the word or is below 3,
+    or a word that is a proper power, not the least rotation of its class or
+    a repeat raises DomainError naming the file and the first line where it
+    occurs.
     """
-    entries, norms, cells, rows = [], {}, {}, {}
+    entries, norms, cells, rows, first = [], {}, {}, {}, {}
     with mp.workprec(prec), open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -615,6 +638,7 @@ def load_geodesic_table(path, dim: int = 1, prec: int = DEFAULT_PREC) -> ListGeo
                                   f"got {line!r}")
             word, trace, norm, *row = fields
             trace = _table_trace(word, trace, where)
+            _table_word(word, where, lineno, first)
             _parsed(norms, norm, _table_number, where)
             row = row[0] if row else ""
             chi = rows.get(row)

@@ -3,11 +3,13 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from mpmath import ctx_mp_python, mp, mpc, mpf
 
+from szdet import zetas
 from szdet.errors import ConvergenceError, CutoffError, DomainError, PoleError
 from szdet.numerics import riemann_zeta
 from szdet.oracles import matrix_class_counts, necklace_counts_by_trace
@@ -30,6 +32,7 @@ from szdet.zetas import (
     _TraceTerms,
     _max_trace_for_cutoff,
     _modular_words_up_to_trace,
+    chi_trace,
 )
 
 P = 256
@@ -101,9 +104,25 @@ def test_walk_matches_brute_force_reference():
 
 
 def test_census_of_primitive_classes():
-    for tmax, census in ((316, (9558, 314)), (1000, (78441, 998))):
-        words = _modular_words_up_to_trace(tmax)
-        assert (len(words), len({t for t, _ in words})) == census
+    # N(316) < 1e5 < N(317) and N(1000) < 1e6 < N(1001); the source counts
+    # the walk's traces, with one trivial character, as the listed words do
+    for tmax, cutoff, census in ((316, 1e5, (9558, 314)), (1000, 1e6, (78441, 998))):
+        words = Counter(t for t, _ in _modular_words_up_to_trace(tmax))
+        assert (sum(words.values()), len(words)) == census
+        counts = ModularGeodesicSource().classes(cutoff, 64)
+        assert [(t, [n for _, n in groups]) for t, groups in counts] == [
+            (t, [words[t]]) for t in sorted(words)]
+        assert len({id(chi) for _, groups in counts for chi, _ in groups}) == 1
+
+
+def test_modular_euler_sum_builds_no_class_and_no_word(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the modular Euler sum built a class or a word")
+
+    reference = selberg_log_z(ModularGeodesicSource(), mpc(3, 1), 2000, 64)
+    for name in ("GeodesicClass", "_modular_words_up_to_trace"):
+        monkeypatch.setattr(zetas, name, refuse)
+    assert selberg_log_z(ModularGeodesicSource(), mpc(3, 1), 2000, 64) == reference
 
 
 def test_enumeration_limit_is_a_cutoff_error():
@@ -215,12 +234,11 @@ def test_class_list_refuses_cutoffs_beyond_its_largest_trace():
 def test_selberg_chi_table_source():
     # a table-backed source must reproduce the eigenvalue-backed values
     src = ModularGeodesicSource()
-    classes = src.classes(100, P)
     tabled = ListGeodesicSource(
         entries=tuple(
-            GeodesicClass(c.word, c.trace,
-                          ("table", tuple(c.chi_trace(l) for l in range(1, 64))))
-            for c in classes
+            GeodesicClass(c.word, c.trace, ("table", tuple(
+                chi_trace(c.chi, l, c.trace) for l in range(1, 64))))
+            for c in modular_geodesics(100, prec=P)
         )
     )
     a = selberg_log_z(src, mpf(4), 100, 128)
@@ -241,7 +259,7 @@ def _per_class_log_z(classes, s, prec):
             step, power, inverse = n0 ** -z, 1, 1
             for ell in range(1, lmax + 1):
                 power, inverse = power * step, inverse / n0
-                total -= cls.chi_trace(ell) * power / (ell * (1 - inverse))
+                total -= chi_trace(cls.chi, ell, cls.trace) * power / (ell * (1 - inverse))
         return total
 
 
@@ -264,7 +282,7 @@ def test_euler_sum_matches_per_class_reference():
 
     src = ModularGeodesicSource()
     z = mpc("2.5", 1)
-    ref = _per_class_log_z(src.classes(cutoff, prec), z, prec)
+    ref = _per_class_log_z(modular_geodesics(cutoff, prec=prec), z, prec)
     assert abs(selberg_log_z(src, z, cutoff, prec).value - ref) < tol(ref)
     with mp.workprec(prec + 16):
         table = _twisted_table(modular_geodesics(cutoff, prec=prec))
@@ -293,19 +311,20 @@ def test_fixed_point_kernel_matches_independent_reference(prec):
         table_classes = modular_geodesics(500, prec=prec)
         twisted = _twisted_table(table_classes, powers=100)
     cancelling = _cancelling_table(table_classes, 100, ref_prec + 16)
+    # the reference reads the modular group's classes from its word listing
+    listed = modular_geodesics(2000, prec=prec)
     # 1 + 2^-30 needs the most powers; at 1e3 and 1e6 every N^-s underflows
     # the fixed point to 0
-    cases = [(modular, 2000, z, mpf)
+    cases = [(modular, listed, 2000, z, mpf)
              for z in (mpf(3), mpf("1.0625"), 1 + mpf(2) ** -30, mpf(10**3), mpf(10**6))]
     # at Im s = 1e7 and 1e9 the phase Im(s) log N reaches 3e10: formed at the
     # working precision it would lose about 35 bits of the angle
-    cases += [(modular, 2000, z, mpc)
+    cases += [(modular, listed, 2000, z, mpc)
               for z in (mpc("2.5", 1), mpc(20, 3), mpc(2, 10**4), mpc(2, 10**7), mpc(2, 10**9))]
-    cases += [(table, 500, z, mpc) for table in (twisted, cancelling)
+    cases += [(table, table.entries, 500, z, mpc) for table in (twisted, cancelling)
               for z in (mpf("2.25"), mpc(3, -1), mpf(10**3))]
-    for source, cutoff, z, kind in cases:
+    for source, entries, cutoff, z, kind in cases:
         got = selberg_log_z(source, z, cutoff, prec).value
-        entries = source.classes(cutoff, prec)
         ref = _per_class_log_z(entries, z, ref_prec)
         assert type(got) is kind, (source, z)
         with mp.workprec(ref_prec):
@@ -368,8 +387,8 @@ def test_term_count_matches_the_mp_expression():
 
 def test_euler_sum_evaluates_one_norm_per_trace(norm_calls):
     src = ModularGeodesicSource()
-    classes = src.classes(2000, 128)
-    assert (len(classes), len({c.trace for c in classes})) == (285, 42)
+    counts = src.classes(2000, 128)
+    assert (sum(n for _, groups in counts for _, n in groups), len(counts)) == (285, 42)
     norm_calls.clear()
     selberg_log_z(src, mpc(3, 1), 2000, 128)
     assert len(norm_calls) <= 45  # a per-class sum makes 285
@@ -380,13 +399,12 @@ def test_cold_sum_evaluates_each_character_once_per_trace_and_power(monkeypatch)
     # coefficient of N^(-ls) costs one chi_trace call however many classes
     # the trace has (285 classes over 42 traces here)
     calls = []
-    chi_trace = GeodesicClass.chi_trace
 
-    def counted(self, ell):
-        calls.append((self.trace, ell))
-        return chi_trace(self, ell)
+    def counted(chi, ell, trace):
+        calls.append((trace, ell))
+        return chi_trace(chi, ell, trace)
 
-    monkeypatch.setattr(GeodesicClass, "chi_trace", counted)
+    monkeypatch.setattr(zetas, "chi_trace", counted)
     selberg_log_z(ModularGeodesicSource(), mpc(3, 1), 2000, 128)
     assert {t for t, _ in calls} == set(range(3, 45))
     assert len(calls) == len(set(calls))
@@ -408,7 +426,7 @@ def test_warm_source_does_no_per_class_work(monkeypatch, norm_calls):
         raise AssertionError("per-class work on a warm source")
 
     monkeypatch.setattr(ModularGeodesicSource, "classes", refuse)
-    monkeypatch.setattr(GeodesicClass, "chi_trace", refuse)
+    monkeypatch.setattr(zetas, "chi_trace", refuse)
     for cutoff, expected in rule_norms.items():
         norm_calls.clear()
         selberg_log_z(warm[cutoff], mpc("3.5", -1), cutoff, 128)  # needs no new power
@@ -438,7 +456,7 @@ def test_trace_terms_are_keyed_by_precision_and_extended_lazily():
     selberg_log_z(src, mpc(4, 1), cutoff, prec)
     got = selberg_log_z(src, z, cutoff, prec)  # needs more powers than Re z = 4
     assert got == selberg_log_z(ModularGeodesicSource(), z, cutoff, prec)
-    ref = _per_class_log_z(src.classes(cutoff, prec), z, prec)
+    ref = _per_class_log_z(modular_geodesics(cutoff, prec=prec), z, prec)
     assert abs(got.value - ref) < mpf(2) ** (8 - prec) * (1 + abs(ref))
 
 
@@ -473,7 +491,8 @@ def test_non_finite_and_negative_arguments_are_refused():
             selberg_log_z(src, mpc(s), 500, 128)
     assert src._terms == {}
     for cutoff in (-1, mpf("-1e10")):
-        assert ListGeodesicSource(entries=tuple(src.classes(500, 128))).classes(cutoff, 128) == []
+        assert ListGeodesicSource(
+            entries=tuple(modular_geodesics(500, prec=128))).classes(cutoff, 128) == []
         with pytest.raises(CutoffError):
             ModularGeodesicSource().classes(cutoff, 128)
         for _ in range(2):  # a failed build stores no record
@@ -496,15 +515,15 @@ def test_cutoff_boundary_is_one_rule_for_both_sources():
             n = norm_of_trace(t, 200)
             for cutoff, included in ((n * (1 + mpf(2) ** -100), True),
                                      (n * (1 - mpf(2) ** -100), False)):
-                kept = [(c.word, c.trace) for c in listed.classes(cutoff, 128)]
-                assert (t in {tr for _, tr in kept}) == included
+                kept = listed.classes(cutoff, 128)
+                assert (t in {tr for tr, _ in kept}) == included
                 if not kept:
                     with pytest.raises(CutoffError):
                         ModularGeodesicSource().classes(cutoff, 128)
                     continue
-                enumerated = ModularGeodesicSource().classes(cutoff, 128)
-                assert [(c.word, c.trace) for c in enumerated] == kept
-                assert max(tr for _, tr in kept) == (t if included else t - 1)
+                # one trivial character per trace, equal by value in both
+                assert ModularGeodesicSource().classes(cutoff, 128) == kept
+                assert max(tr for tr, _ in kept) == (t if included else t - 1)
 
 
 def test_modular_phi_value():
@@ -582,11 +601,16 @@ def test_generic_phi_matches_hand_assembly():
 
 def test_geodesic_table_roundtrip(tmp_path):
     src = ModularGeodesicSource()
-    classes = src.classes(60, 128)
+    classes = modular_geodesics(60, prec=128)
     path = tmp_path / "geodesics.tsv"
     save_geodesic_table(path, classes, prec=128)
     loaded = load_geodesic_table(path, dim=1, prec=128)
-    assert [c.word for c in loaded.classes(60, 128)] == [c.word for c in classes]
+    assert [c.word for c in loaded.entries] == [c.word for c in classes]
+
+    def per_trace(source):
+        return [(t, sum(n for _, n in groups)) for t, groups in source.classes(60, 128)]
+
+    assert per_trace(loaded) == per_trace(src)
     a = selberg_log_z(src, mpf(5), 60, 96)
     b = selberg_log_z(loaded, mpf(5), 60, 96)
     assert abs(a.value - b.value) < mpf(2) ** -80
@@ -695,6 +719,11 @@ def test_malformed_table_numbers_and_traces_are_domain_errors(tmp_path):
         ("LRR\t3\t6.854\t1,0", "does not match the trace 4 of LRR"),
         ("LXR\t4\t13.93\t1,0", "only L and R"),
         ("LLL\t2\t1\t1,0", "not hyperbolic"),
+        # each of these would count one class more than the group has
+        ("RL\t3\t6.854\t1,0", "RL is not the least rotation of its class, LR"),
+        ("LRLLR\t10\t97.99\t1,0", "LRLLR is not the least rotation of its class, LLRLR"),
+        ("LRLR\t7\t47.98\t1,0", "LRLR is a proper power"),
+        ("LR\t3\t6.854\t1,0", "LR repeats line 2"),
     ):
         # the second bad line repeats the first one's cells
         path.write_text(head + line + "\n" + line + "\n")
