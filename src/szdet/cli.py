@@ -5,8 +5,9 @@ Subcommands
     detsq   --orbifold DOC --z RE[,IM]      det^2 and its constituents
     verify  SUITE                           run invariant suites
 
-Common flags: --prec <bits> (default 256), --cutoff-norm <real>
-(default 1e6), --format json|csv (default json).
+Flags: --prec <bits>, at least 53 (default 256 for mn and detsq, 192 for
+verify); mn and detsq take --format json|csv (default json), and detsq takes
+--cutoff-norm <real> (default 1e6).
 
 Exit codes: 0 ok, 2 domain error, 64 usage, 70 internal.
 
@@ -58,6 +59,10 @@ EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+
+# the least --prec, that of an IEEE double; from there on verify's
+# tolerances 2^(20 - prec) and 2^(-prec/2) stay far below 1
+MIN_PREC = 53
 
 # the parser builds one entry per cusp; ~115 B each, so 10,000 cost ~1 MB
 MAX_CUSPS = 10_000
@@ -349,6 +354,9 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.prec < MIN_PREC:
+            raise UsageError(f"--prec must be at least {MIN_PREC} bits, "
+                             f"got {args.prec}")
         if args.command == "verify":
             return cmd_verify(args.suite, args.prec)
         orb, scattering = _load_document(args.orbifold)

@@ -168,20 +168,21 @@ def suite_scattering(prec: int) -> list[CheckResult]:
     out = []
     model = zetas.ModularScattering()
     rng = random.Random(11)
+    tol = mpf(2) ** (20 - prec)
     with mp.workprec(prec + 8):
         worst = mpf(0)
         for _ in range(20):
             s = mpc(mpf("0.2") + 2 * rng.random(), mpf(-3) + 6 * rng.random())
             r = abs(model.phi(s, prec) * model.phi(1 - s, prec) - 1)
             worst = max(worst, r)
-        ok = worst < mpf(10) ** (-25)
-    out.append(_check("modular phi(s) phi(1-s) = 1", ok,
+    out.append(_check("modular phi(s) phi(1-s) = 1", worst < tol,
                       f"worst residual {mp.nstr(worst, 3)}"))
 
     with mp.workprec(prec + 8):
         target = 45 * numerics.riemann_zeta(3, prec) / mp.pi ** 3
-        ok = abs(model.phi(2, prec) - target) < mpf(10) ** (-25)
-    out.append(_check("phi(2) = 45 zeta(3) / pi^3", ok))
+        r = abs(model.phi(2, prec) - target)
+    out.append(_check("phi(2) = 45 zeta(3) / pi^3", r < tol,
+                      f"residual {mp.nstr(r, 3)}"))
 
     word = oracles.necklace_counts_by_trace(8)
     mat = oracles.matrix_class_counts(8, 40)

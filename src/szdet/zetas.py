@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
 from math import ceil, isqrt, log
 from typing import NamedTuple, Protocol
 
@@ -50,7 +49,8 @@ from .numerics import (
     to_scalar,
 )
 
-# the walk counts the 602,498 classes up to this trace (norm ~9.0e6) in ~1 s
+# the walk counts the 602,498 classes up to this trace (norm ~9.0e6) in
+# ~0.6 s on a 2-vCPU x86-64 host (BENCH_int_walk.json)
 MAX_ENUMERATED_TRACE = 3000
 
 # fractional bits of the Euler sum's fixed-point Horner loop beyond its
@@ -60,25 +60,19 @@ _FIXED_GUARD = 24
 _PHASE_BITS = 64
 
 
-def _mat_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def word_matrix(word: str):
-    """Integer matrix of an L/R word, one product per run: L^a = (1, a, 0, 1)
-    and R^b = (1, 0, b, 1)."""
-    m = (1, 0, 0, 1)
-    for ch, run in groupby(word):
-        n = sum(1 for _ in run)
+    """Integer matrix of an L/R word, one column update per letter: times L =
+    (1, 1, 0, 1) adds the left column to the right one, times R = (1, 0, 1, 1)
+    the right column to the left one."""
+    m0, m1, m2, m3 = 1, 0, 0, 1
+    for ch in word:
         if ch == "L":
-            m = _mat_mul(m, (1, n, 0, 1))
+            m1, m3 = m1 + m0, m3 + m2
         elif ch == "R":
-            m = _mat_mul(m, (1, 0, n, 1))
+            m0, m2 = m0 + m1, m2 + m3
         else:
             raise DomainError(f"word may contain only L and R, got {ch!r}")
-    return m
+    return m0, m1, m2, m3
 
 
 def word_trace(word: str) -> int:
@@ -184,32 +178,34 @@ def _modular_walk(tmax: int):
     word Lyndon, so each class is yielded exactly once.  All matrix entries
     stay nonnegative, so the trace is monotone in every block exponent and
     each exponent loop stops at its first overshoot.
+
+    The matrices come from column updates.  Times L adds the left column
+    (m0, m2) to the right one (l1, l3), so M L^a R^b has left column (m0 +
+    b l1, m2 + b l3) and trace m0 + l3 + b l1, which rises by l1 with each
+    step in b.
     """
     # stack holds (matrix, blocks, p) for each prenecklace
     stack = [((1, 0, 0, 1), (), 0)]
     while stack:
-        m, blocks, p = stack.pop()
+        (m0, l1, m2, l3), blocks, p = stack.pop()
         n = len(blocks)
         # the first block is unconstrained: every block within tmax has
         # a < tmax - 1 and b >= 1, so it is larger than (tmax, 0)
         ra, rb = blocks[n - p] if n else (tmax, 0)
         for a in range(1, ra + 1):
-            ml = _mat_mul(m, (1, a, 0, 1))
+            l1, l3 = l1 + m0, l3 + m2
             b = rb if a == ra else 1
-            # trace of ml R^b is ml[0] + b ml[1] + ml[3]
-            if ml[0] + b * ml[1] + ml[3] > tmax:
+            tr = m0 + l3 + b * l1
+            if tr > tmax:
                 break
-            while True:
-                full = _mat_mul(ml, (1, 0, b, 1))
-                tr = full[0] + full[3]
-                if tr > tmax:
-                    break
+            while tr <= tmax:
                 longer = blocks + ((a, b),)
                 q = p if (a, b) == (ra, rb) else n + 1
                 if q == n + 1:
                     yield tr, longer
-                stack.append((full, longer, q))
+                stack.append(((m0 + b * l1, l1, m2 + b * l3, l3), longer, q))
                 b += 1
+                tr += l1
 
 
 def _modular_words_up_to_trace(tmax: int):
@@ -231,11 +227,11 @@ def _modular_trace_bound(norm_cutoff, prec: int) -> int:
     return tmax
 
 
-def modular_geodesics(norm_cutoff, dim: int = 1, prec: int = DEFAULT_PREC):
+def modular_geodesics(norm_cutoff, prec: int = DEFAULT_PREC):
     """The modular group's primitive classes with norm <= cutoff by (trace,
-    word), sharing one trivial ``chi`` of dimension dim: a listing for tables
+    word), sharing one trivial one-dimensional ``chi``: a listing for tables
     and tests, which the Euler sum does not read."""
-    chi = ("trivial", dim)
+    chi = ("trivial", 1)
     return [GeodesicClass(word=w, trace=tr, chi=chi) for tr, w in
             _modular_words_up_to_trace(_modular_trace_bound(norm_cutoff, prec))]
 

@@ -10,7 +10,7 @@ import pytest
 from mpmath import mp, mpf
 
 import szdet.cli as cli
-from szdet import numerics
+from szdet import numerics, zetas
 from szdet.zetas import ModularGeodesicSource, selberg_log_z
 
 
@@ -167,6 +167,48 @@ def test_verify_all_passes(capsys):
     checks = [ln for ln in lines if ln.startswith("[PASS]")]
     assert lines[-1] == f"{len(checks)}/{len(checks)} checks passed"
     assert len(checks) == len(lines) - 1
+
+
+def test_verify_all_passes_at_64_bits(capsys):
+    # the scattering checks scale with the precision, as the special ones do
+    assert cli.main(["verify", "all", "--prec", "64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not any(ln.startswith("[FAIL]") for ln in lines)
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+
+
+@pytest.mark.parametrize("prec", [64, 192])
+def test_verify_scattering_catches_phi_off_by_half_the_bits(prec, monkeypatch, capsys):
+    original = zetas.ModularScattering.phi
+
+    def off(self, s, prec=256):
+        with mp.workprec(prec + 8):
+            return original(self, s, prec) * (1 + mpf(2) ** -(prec // 2))
+
+    monkeypatch.setattr(zetas.ModularScattering, "phi", off)
+    assert cli.main(["verify", "scattering", "--prec", str(prec)]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] modular phi(s) phi(1-s) = 1  (worst residual" in out
+    assert "[FAIL] phi(2) = 45 zeta(3) / pi^3  (residual" in out
+
+
+@pytest.mark.parametrize("command", ["mn", "detsq", "verify"])
+def test_prec_below_double_is_a_usage_error(command, modular_doc, capsys):
+    args = {"mn": ["mn", "--orbifold", modular_doc, "--n-max", "1"],
+            "detsq": ["detsq", "--orbifold", modular_doc, "--z", "3",
+                      "--cutoff-norm", "100"],
+            "verify": ["verify", "scattering"]}[command]
+    for prec in ("0", "-5", "52"):
+        assert cli.main(args + ["--prec", prec]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--prec must be at least 53 bits, got {prec}" in captured.err
+    assert cli.main(args + ["--prec", "53"]) == 0
+    out = capsys.readouterr().out
+    if command == "verify":
+        assert "[FAIL]" not in out
+    else:
+        assert json.loads(out)["precision_bits"] == 53
 
 
 def test_verify_unknown_suite(capsys):
