@@ -138,9 +138,11 @@ def emit_table(rows: list[ResultRow], fmt: str, meta: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def parse_orbifold_document(doc: dict):
+def parse_orbifold_document(doc: dict, prec: int):
     """Validate a JSON document into (OrbifoldData, scattering model or None);
-    a field of the wrong JSON type is a DocumentError naming its path."""
+    a field of the wrong JSON type is a DocumentError naming its path.  A
+    generic scattering file is read at prec + 16 bits, the working precision
+    of a command at ``prec`` bits."""
 
     def fail(path, msg):
         raise DocumentError(f"{path}: {msg}")
@@ -211,7 +213,7 @@ def parse_orbifold_document(doc: dict):
             if not isinstance(sc.get("file"), str):
                 fail("scattering.file", "generic scattering needs a data file path")
             try:
-                scattering = zetas.load_generic_scattering(sc["file"])
+                scattering = zetas.load_generic_scattering(sc["file"], prec + 16)
             except (OSError, SZDetError, ValueError) as exc:
                 fail("scattering.file", str(exc))
         else:
@@ -219,7 +221,7 @@ def parse_orbifold_document(doc: dict):
     return orb, scattering
 
 
-def _load_document(path: str):
+def _load_document(path: str, prec: int):
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -227,7 +229,7 @@ def _load_document(path: str):
         raise DocumentError(f"orbifold file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"orbifold file line {exc.lineno}: {exc.msg}") from exc
-    return parse_orbifold_document(doc)
+    return parse_orbifold_document(doc, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
                              f"got {args.prec}")
         if args.command == "verify":
             return cmd_verify(args.suite, args.prec)
-        orb, scattering = _load_document(args.orbifold)
+        orb, scattering = _load_document(args.orbifold, args.prec)
         if args.command == "mn":
             if args.n_max < 0:
                 raise UsageError("--n-max must be nonnegative")

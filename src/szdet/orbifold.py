@@ -154,12 +154,11 @@ def degree_of_singularity(rep: RepresentationData) -> int:
     return sum(cd.fixed_dim for cd in rep.cusp_data)
 
 
-def a_chi(rep: RepresentationData, cusps: int, prec: int = DEFAULT_PREC):
-    """a(chi) = (2^{h c} prod_j prod_{p > k_j} sin(pi beta_jp))^{-1} > 0."""
-    if cusps != len(rep.cusp_data):
-        raise SignatureError("cusp count does not match representation data")
+def a_chi(rep: RepresentationData, prec: int = DEFAULT_PREC):
+    """a(chi) = (2^{h c} prod_j prod_{p > k_j} sin(pi beta_jp))^{-1} > 0, with
+    one cusp_data entry per cusp."""
     with mp.workprec(prec + 8):
-        prod = mp.mpf(2) ** (rep.dim * cusps)
+        prod = mp.mpf(2) ** (rep.dim * len(rep.cusp_data))
         for cd in rep.cusp_data:
             for b in cd.angles:
                 bb = frac_to_mpf(Fraction(b)) if not isinstance(b, float) else mp.mpf(b)

@@ -99,7 +99,7 @@ class SurfaceContext:
     _last_point: Optional[PointValues] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        self.constants = self.scattering.constants()
+        self.constants = self.scattering.constants(self.prec + 16)
         k_model = self.constants[0]
         k_rep = degree_of_singularity(self.orb.rep)
         if k_model != k_rep:
@@ -304,7 +304,7 @@ def functional_symmetry_residual(ctx: SurfaceContext, z, provider: ContinuationP
         tau = (
             2 * ctx.coeffs.b1
             - c1
-            + 2 * mp.log(a_chi(ctx.orb.rep, ctx.orb.signature.cusps, wp))
+            + 2 * mp.log(a_chi(ctx.orb.rep, wp))
         )
         lhs = mp.exp(-tau * w + _log_dplus_dminus(ctx, w, provider, wp))
         rhs = mp.exp(-tau * (1 - w) + _log_dplus_dminus(ctx, 1 - w, provider, wp))

@@ -14,7 +14,7 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from . import elliptic, gfuncs, numerics, oracles, orbifold, regdet, zetas
-from .errors import ProviderDomainError
+from .errors import ProviderDomainError, SZDetError
 
 
 @dataclass
@@ -125,30 +125,29 @@ def suite_special(prec: int) -> list[CheckResult]:
                 mpf(-50) + 100 * rng.random())
             for _ in range(25)
         ]
-        ok_g = ok_b = ok_d = True
+        worst_g = worst_b = worst_d = mpf(0)
         for z in pts:
-            r = abs(numerics.log_gamma(z + 1, prec) - mp.log(z)
-                    - numerics.log_gamma(z, prec))
-            ok_g = ok_g and r < tol
-            r = abs(numerics.log_barnes_g(z + 1, prec)
-                    - numerics.log_gamma(z, prec)
-                    - numerics.log_barnes_g(z, prec))
-            ok_b = ok_b and r < tol
+            worst_g = max(worst_g, abs(numerics.log_gamma(z + 1, prec) - mp.log(z)
+                                       - numerics.log_gamma(z, prec)))
+            worst_b = max(worst_b, abs(numerics.log_barnes_g(z + 1, prec)
+                                       - numerics.log_gamma(z, prec)
+                                       - numerics.log_barnes_g(z, prec)))
             lhs = numerics.log_gamma(z, prec) + numerics.log_gamma(z + mpf(1) / 2, prec)
             rhs = ((1 - 2 * z) * mp.log(2) + mp.log(mp.pi) / 2
                    + numerics.log_gamma(2 * z, prec))
-            ok_d = ok_d and abs(mp.exp(lhs - rhs) - 1) < tol
-    out.append(_check("Gamma recursion on grid", ok_g))
-    out.append(_check("Barnes recursion on grid", ok_b))
-    out.append(_check("duplication formula on grid", ok_d))
+            worst_d = max(worst_d, abs(mp.exp(lhs - rhs) - 1))
+    for name, worst in (("Gamma recursion on grid", worst_g),
+                        ("Barnes recursion on grid", worst_b),
+                        ("duplication formula on grid", worst_d)):
+        out.append(_check(name, worst < tol, f"worst residual {mp.nstr(worst, 3)}"))
 
     with mp.workprec(prec + 8):
         z = mpc("1.7", "0.4")
         s = mpc(3, 1)
         tele = numerics.hurwitz_zeta(s, z, prec) - numerics.hurwitz_zeta(s, z + 15, prec)
         direct = mp.fsum((z + k) ** (-s) for k in range(15))
-        ok = abs(tele - direct) < tol
-    out.append(_check("Hurwitz telescoping (N = 15)", ok))
+        r = abs(tele - direct)
+    out.append(_check("Hurwitz telescoping (N = 15)", r < tol, f"residual {mp.nstr(r, 3)}"))
 
     with mp.workprec(2 * prec):
         pairs = [
@@ -159,8 +158,9 @@ def suite_special(prec: int) -> list[CheckResult]:
             (numerics.log_barnes_g(mpf("7.5"), prec),
              numerics.log_barnes_g(mpf("7.5"), 2 * prec)),
         ]
-        ok = all(abs(a - b) <= mpf(2) ** (16 - prec) * (1 + abs(b)) for a, b in pairs)
-    out.append(_check("precision doubling stability", ok))
+        worst = max(abs(a - b) / (1 + abs(b)) for a, b in pairs)
+    out.append(_check("precision doubling stability", worst <= mpf(2) ** (16 - prec),
+                      f"worst |a - b| / (1 + |b|) = {mp.nstr(worst, 3)}"))
     return out
 
 
@@ -237,10 +237,10 @@ def suite_regdet(prec: int) -> list[CheckResult]:
 
     pp = regdet.superzeta_zero_poly(ctx, +1)
     pm = regdet.superzeta_zero_poly(ctx, -1)
-    ok = (pp[0] == pm[0] and pp[1] == pm[1]
-          and pp[2] - pm[2] == Fraction(ctx.k, 2)
-          and pp[0] == -ctx.orb.dim * orbifold.vol_over_2pi(ctx.orb.signature))
-    out.append(_check("superzeta polynomials at s = 0 (exact)", ok))
+    bad = sum((pp[0] != pm[0], pp[1] != pm[1], pp[2] - pm[2] != Fraction(ctx.k, 2),
+               pp[0] != -ctx.orb.dim * orbifold.vol_over_2pi(ctx.orb.signature)))
+    out.append(_check("superzeta polynomials at s = 0 (exact)", bad == 0,
+                      f"{bad} mismatches"))
 
     with mp.workprec(prec + 16):
         coeffs = gfuncs.ExpansionCoefficients(
@@ -252,19 +252,23 @@ def suite_regdet(prec: int) -> list[CheckResult]:
         evaluator=lambda w, p: mp.exp(-numerics.log_gamma(w, p)),
     )
     with mp.workprec(prec + 8):
-        ok = True
+        worst = mpf(0)
         for zv in (mpf("0.8"), mpf(2), mpf("4.5")):
             v = oracles.voros_product(inp, zv, prec)
             lerch = mp.sqrt(2 * mp.pi) * mp.exp(-numerics.log_gamma(zv, prec))
-            ok = ok and abs(v - lerch) < mpf(10) ** (-int(prec * 0.2))
-    out.append(_check("Voros product vs Lerch closed form", ok))
+            worst = max(worst, abs(v - lerch))
+    out.append(_check("Voros product vs Lerch closed form",
+                      worst < mpf(10) ** (-int(prec * 0.2)),
+                      f"worst |v - lerch| = {mp.nstr(worst, 3)}"))
 
     try:
         regdet.functional_symmetry_residual(ctx, mpf(3), regdet.EulerProductProvider(ctx))
-        ok = False
-    except ProviderDomainError:
-        ok = True
-    out.append(_check("symmetry checker refuses Euler-product-only provider", ok))
+        raised = None
+    except SZDetError as exc:
+        raised = exc
+    out.append(_check("symmetry checker refuses Euler-product-only provider",
+                      isinstance(raised, ProviderDomainError),
+                      f"raised {type(raised).__name__ if raised else 'nothing'}"))
     return out
 
 

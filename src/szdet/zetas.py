@@ -4,22 +4,23 @@ Geodesics: primitive hyperbolic classes of the modular group are cyclic
 words in L = [[1,1],[0,1]] and R = [[1,0],[1,1]] with both letters, written
 as their least rotations: the Lyndon words over the blocks L^a R^b, which
 one walk visits.  Norms are N(P0) = ((t + sqrt(t^2-4))/2)^2 with t the
-integer trace, so a norm cutoff is a trace bound, and with the trivial
-character the Euler sum needs only the number of classes of each trace:
-the modular source counts the walk's traces and builds no word.
+integer trace, so a norm cutoff is a trace bound, found by exact integer
+arithmetic on the cutoff's binary value, and with the trivial character the
+Euler sum needs only the number of classes of each trace: the modular
+source counts the walk's traces and builds no word.
 
 log Z(s) = - sum over primitive classes P0 and powers l >= 1 of
 tr chi(P0^l) / (l (1 - N(P0)^-l) N(P0)^{l s}), absolutely convergent for
 Re(s) > 1; it is summed as one norm series per trace, and evaluations carry
 an explicit truncation tail estimate.  The series' z-independent terms (per
-trace: N, log N and the character-weighted coefficients of N^(-ls)) are
+trace: log N and the character-weighted coefficients of N^(-ls)) are
 built by the first log Z call for a (trace bound, precision) pair and kept
 on the geodesic source until a call with another pair replaces them, so a
 later call with that pair reads no class.  Those coefficients and log N are
-held as fixed-point integers: per trace, a later call forms N^-s from
-mpmath's fixed-point exp and cos/sin kernels and sums the series by a Horner
-loop, all in Python integer arithmetic (error bound in selberg_log_z's
-docstring).
+held as fixed-point integers, and no other form of N is kept: the
+coefficients take N^-l, and every later call N^-s, from log N by mpmath's
+fixed-point exp (and cos/sin) kernels, and a Horner loop sums the series,
+all in Python integer arithmetic (error bound in selberg_log_z's docstring).
 
 Scattering determinants come in two flavours: the built-in modular closed
 form sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)) and a generic
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import ceil, isqrt, log
 from typing import NamedTuple, Protocol
 
@@ -137,29 +139,24 @@ class GeodesicSource(Protocol):
     def classes(self, norm_cutoff, prec: int) -> list[tuple[int, tuple]]: ...
 
 
-def _max_trace_for_cutoff(norm_cutoff, prec: int, limit: int | None = None) -> int:
-    """The largest trace t with N(t) <= norm_cutoff (< 3 when no class fits).
+def _max_trace_for_cutoff(norm_cutoff, prec: int, limit: int) -> int:
+    """The largest trace t with N(t) <= norm_cutoff (< 3 when no class fits),
+    or limit + 1, before any integer is formed, for a cutoff of (limit + 1)^2
+    > N(limit + 1) or more: a source refuses it (10^D would take 3.3 D bits).
 
-    With a ``limit``, a cutoff of (limit + 1)^2 or more gives limit + 1 at
-    once, since N(limit + 1) < (limit + 1)^2: a source refuses it without
-    the exact bound, which for a cutoff 10^D has about 1.66 D bits.
+    Since N + 1/N = t^2 - 2, N(t) <= x exactly when t^2 x <= (x + 1)^2 for
+    x >= 1; x = a/b is the cutoff's exact binary value (to_scalar, prec + 16).
     """
-    with mp.workprec(prec + 16):
-        x = to_scalar(norm_cutoff, prec + 16)
-        if not mp.isfinite(x):
-            raise CutoffError(f"norm cutoff must be finite, got {norm_cutoff}")
-        if limit is not None and x >= (limit + 1) ** 2:
-            return limit + 1
-        # N(t) = t^2 - 2 - 1/N(t) lies in (t^2 - 3, t^2 - 2), so for an integer
-        # x, N(t) <= x exactly when t^2 <= x + 2; every x >= 2^(prec+16) is an
-        # integer, which is where N(t) rounded to prec+16 bits can land on x
-        if mp.isint(x):
-            return isqrt(max(int(x) + 2, 0))
-        # otherwise s = floor(sqrt x) has N(s) < x < N(s + 2)
-        t = isqrt(int(mp.floor(max(x, 0)))) + 1
-        if t >= 3 and norm_of_trace(t, prec + 16) > x:
-            t -= 1
-        return t  # < 3 when no class fits
+    x = to_scalar(norm_cutoff, prec + 16)
+    if not mp.isfinite(x):
+        raise CutoffError(f"norm cutoff must be finite, got {norm_cutoff}")
+    if x >= (limit + 1) ** 2:
+        return limit + 1
+    if x < 1:
+        return 0
+    a, e = x.man_exp
+    a, b = (a << e, 1) if e >= 0 else (a, 1 << -e)
+    return isqrt((a + b) ** 2 // (a * b))
 
 
 def _modular_walk(tmax: int):
@@ -295,22 +292,23 @@ class _TraceTerms:
     distinct character is evaluated once per power.  ``wp`` is
     selberg_log_z's working precision, prec + 16.
 
-    Each c_l is computed at ``wp`` bits and kept once, as the fixed-point
-    pair (floor(Re c_l 2^frac), floor(Im c_l 2^frac)) with frac = wp + 24,
-    for selberg_log_z's integer Horner loop; ``complex`` records whether any
-    c_l came out as an mpc.  log N = 2 acosh(t/2) is kept as the fixed-point
-    integer ``log_fixed`` with frac + _PHASE_BITS fractional bits, enough for
-    the phase Im(s) log N at any |Im s| that selberg_log_z accepts.
+    log N = 2 acosh(t/2) is the one form of N kept: the fixed-point integer
+    ``log_fixed`` with frac + _PHASE_BITS fractional bits, frac = wp + 24,
+    enough for the phase Im(s) log N at any |Im s| that selberg_log_z
+    accepts.  Each c_l is kept once as a fixed-point (Re, Im) pair with frac
+    fractional bits for selberg_log_z's Horner loop: the character sum (one
+    mp.fdot at frac bits), floored, times 2^frac, floor-divided by l times
+    2^frac - E, with E = exp_fixed(-(l log_fixed >> _PHASE_BITS)) the kernel
+    that forms |N^-s| there.  ``complex`` records whether any sum was an mpc.
     """
 
     def __init__(self, trace: int, groups, wp: int):
         self.trace, self.groups, self.coeffs = trace, groups, []
-        self.norm = norm_of_trace(trace, wp)
         self.frac = wp + _FIXED_GUARD
         with mp.workprec(self.frac + _PHASE_BITS + 8):
-            self.log_norm = 2 * mp.acosh(mp.mpf(trace) / 2)
-            self.log_fixed = to_fixed(self.log_norm._mpf_, self.frac + _PHASE_BITS)
-        self.ratio = float((wp + 10) * mp.log(2) / self.log_norm)
+            log_norm = 2 * mp.acosh(mp.mpf(trace) / 2)
+            self.log_fixed = to_fixed(log_norm._mpf_, self.frac + _PHASE_BITS)
+        self.ratio = float((wp + 10) * mp.log(2) / log_norm)
         self.complex = False
 
     def powers(self, sigma) -> int:
@@ -320,15 +318,14 @@ class _TraceTerms:
 
     def coefficients(self, lmax: int) -> list:
         """The fixed-point pairs of c_lmax, ..., c_1: Horner order."""
+        frac = self.frac
         for ell in range(len(self.coeffs) + 1, lmax + 1):
-            chi = mp.fdot((n, chi_trace(c, ell, self.trace)) for c, n in self.groups)
-            c = chi / (ell * (1 - self.norm ** (-ell)))
-            if isinstance(c, mpc):
-                self.complex = True
-                re, im = c._mpc_
-            else:
-                re, im = c._mpf_, fzero
-            self.coeffs.append((to_fixed(re, self.frac), to_fixed(im, self.frac)))
+            with mp.workprec(frac):
+                chi = mp.fdot((n, chi_trace(c, ell, self.trace)) for c, n in self.groups)
+            self.complex |= isinstance(chi, mpc)
+            parts = chi._mpc_ if isinstance(chi, mpc) else (chi._mpf_, fzero)
+            den = ell * ((1 << frac) - exp_fixed(-((ell * self.log_fixed) >> _PHASE_BITS), frac))
+            self.coeffs.append(tuple((to_fixed(v, frac) << frac) // den for v in parts))
         return self.coeffs[lmax - 1::-1]
 
 
@@ -362,17 +359,20 @@ def selberg_log_z(
     by less than (log N + 2) u, and the phase tau log N, with its reduction
     mod pi/2, by less than (log N / 4 + 2) u; both errors scale with |p| <=
     N^-sigma, and |p| (log N + 2) < 0.6 for N >= N(3).  With the floors that
-    form p, p is off by less than 10 u (sampled: at most 2.7 u).  c_l is
-    truncated and every Horner step floors its product, each by less than
-    sqrt(2) u, and |p| <= 1/N(3) < 0.146, so the inner sum H is off by less
-    than (3.4 + 12 A) u, with A the largest tail c_l + c_(l+1) p + ... for
-    l >= 2.  The product p H adds |H| 10 u + sqrt(2) u, with |H| <= |c_1| +
-    A |p|.  When |tr chi| <= dim, |c_1| < 1.2 n dim and A < 0.66 n dim, n
-    being the number of classes of the trace, so the term p H is off by
-    less than (2 + 15 n dim) u, and the sum over T traces and C classes by
-    less than (2 T + 15 C dim) 2^-frac.  With T <= MAX_ENUMERATED_TRACE and
-    C below 2^30 (the modular group has 602,498 classes up to that trace)
-    this is under 2^-(prec + 5) dim: inside the tail's 2^-prec (1 + |total|)
+    form p, p is off by less than 10 u (sampled: at most 2.7 u).  c_l is off
+    by less than (3.1 + 7 |c_l|) u: its character sum is rounded and floored
+    (less than (sqrt(2) + |sum|) u), N^-l < 0.146 is formed as p is (off by
+    less than 5 u) and the division floors.  Every Horner step floors its
+    product by less than sqrt(2) u, and |p| <= 1/N(3) < 0.146, so the inner
+    sum H is off by less than (5.3 + 7 B + 12 A) u, with B = |c_1| + |c_2 p|
+    + ... and A the largest tail c_l + c_(l+1) p + ... for l >= 2.  The
+    product p H adds |H| 10 u + sqrt(2) u, with |H| <= |c_1| + A |p|.  When
+    |tr chi| <= dim, |c_1| < 1.2 n dim, B < 1.3 n dim and A < 0.66 n dim, n
+    being the number of classes of the trace, so the term p H is off by less
+    than (3 + 16 n dim) u, and the sum over T traces and C classes by less
+    than (3 T + 16 C dim) 2^-frac.  With T <= MAX_ENUMERATED_TRACE and C
+    below 2^30 (the modular group has 602,498 classes up to that trace) this
+    is under 2^-(prec + 5) dim: inside the tail's 2^-prec (1 + |total|)
     allowance for rounding.
     """
     wp = prec + 16
@@ -443,7 +443,7 @@ class ModularScattering:
     d(1) = 1, so the degree of singularity is 1 and c1 = c2 = 0.
     """
 
-    def constants(self):
+    def constants(self, prec: int = DEFAULT_PREC):
         return (1, mp.mpf(0), mp.mpf(0))
 
     def phi(self, s, prec: int = DEFAULT_PREC):
@@ -466,6 +466,18 @@ class ModularScattering:
         return _rounded(prec, val)
 
 
+def _exact(x) -> Fraction:
+    """A finite real x as an exact rational: an mpf's binary value, else
+    Fraction(x)."""
+    try:
+        if isinstance(x, mp.mpf) and mp.isfinite(x):
+            man, exp = x.man_exp
+            return Fraction(man) * Fraction(2) ** exp
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"generic scattering u_n must be finite reals, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class GenericScattering:
     """phi(s) = L(s) H(s) from user-supplied generalized Dirichlet data.
@@ -473,7 +485,9 @@ class GenericScattering:
     L(s) = (sqrt(pi) Gamma(s-1/2) / Gamma(s))^k  exp(c1 s + c2) and
     H(s) = 1 + sum_n a_n u_n^(-2s) with 1 < u_2 < u_3 < ...  The supplied
     terms are treated as exact, so the declared series end carries no
-    truncation estimate; validity demands Re(s) > 1.
+    truncation estimate, and the u_n are compared exactly; validity demands
+    Re(s) > 1.  The numbers are converted only where used, at the precision
+    asked.
     """
 
     k: int
@@ -482,14 +496,14 @@ class GenericScattering:
     terms: tuple = ()
 
     def __post_init__(self):
-        us = [to_scalar(u, 64) for u, _ in self.terms]
+        us = [_exact(u) for u, _ in self.terms]
         if any(u <= 1 for u in us):
             raise DomainError("generic scattering terms need u_n > 1")
         if any(us[i] >= us[i + 1] for i in range(len(us) - 1)):
             raise DomainError("generic scattering u_n must be strictly increasing")
 
-    def constants(self):
-        return (self.k, to_scalar(self.c1), to_scalar(self.c2))
+    def constants(self, prec: int = DEFAULT_PREC):
+        return (self.k, to_scalar(self.c1, prec), to_scalar(self.c2, prec))
 
     def phi(self, s, prec: int = DEFAULT_PREC):
         wp = prec + 16

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 import szdet.cli as cli
 from szdet import numerics, zetas
@@ -166,7 +166,9 @@ def test_verify_all_passes(capsys):
     assert not any(ln.startswith("[FAIL]") for ln in lines)
     checks = [ln for ln in lines if ln.startswith("[PASS]")]
     assert lines[-1] == f"{len(checks)}/{len(checks)} checks passed"
-    assert len(checks) == len(lines) - 1
+    assert len(checks) == len(lines) - 1 == 19
+    # every check reports a residual, a mismatch count or what it raised
+    assert all(re.search(r"  \(.*\d.*\)$|  \(raised \w+\)$", ln) for ln in checks), checks
 
 
 def test_verify_all_passes_at_64_bits(capsys):
@@ -175,6 +177,7 @@ def test_verify_all_passes_at_64_bits(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert not any(ln.startswith("[FAIL]") for ln in lines)
     assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+    assert all(re.search(r"  \(.*\d.*\)$|  \(raised \w+\)$", ln) for ln in lines[:-1])
 
 
 @pytest.mark.parametrize("prec", [64, 192])
@@ -366,6 +369,24 @@ def test_detsq_refuses_a_non_finite_scattering_term(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "scattering.file" in err and "line 2: 'nan' is not a finite number" in err
+
+
+def test_generic_phi_is_read_at_the_command_precision(tmp_path, capsys):
+    # the data file used to be read at 256 bits whatever --prec was, which
+    # left phi at 512 bits off by 2.4e-78 relative
+    terms = tmp_path / "terms.dat"
+    terms.write_text("1 0.1 0.3\n")
+    doc = dict(MODULAR_DOC, scattering={"model": "generic", "file": str(terms)})
+    path = tmp_path / "modular_generic.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["detsq", "--orbifold", str(path), "--z", "3,1", "--prec", "512",
+                     "--cutoff-norm", "100"]) == 0
+    row = _rows(capsys.readouterr().out)["phi"]
+    with mp.workprec(1200):
+        z = mpc(3, 1)
+        ref = mp.exp(mp.log(mp.pi) / 2 + mp.loggamma(z - mpf(1) / 2) - mp.loggamma(z)
+                     + z / 10 + mpf(3) / 10)
+        assert abs(mpc(row["re"], row["im"]) - ref) < mpf(2) ** -500 * abs(ref)
 
 
 def test_detsq_needs_scattering(torus_doc, capsys):

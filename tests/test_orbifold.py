@@ -72,12 +72,12 @@ def test_degree_of_singularity():
 def test_a_chi_values():
     with mp.workprec(P + 8):
         orb = modular_orbifold()
-        assert abs(a_chi(orb.rep, 1, P) - mpf(1) / 2) < mpf(2) ** (8 - P)
+        assert abs(a_chi(orb.rep, P) - mpf(1) / 2) < mpf(2) ** (8 - P)
         # direct evaluation: (2^1 sin(pi/2))^-1 = 1/2 for k=0, beta=1/2
         half = RepresentationData(1, cusp_data=(CuspData(0, (0.5,)),))
-        assert abs(a_chi(half, 1, P) - mpf(1) / 2) < mpf(2) ** (8 - P)
+        assert abs(a_chi(half, P) - mpf(1) / 2) < mpf(2) ** (8 - P)
         two = RepresentationData(1, cusp_data=(CuspData(1), CuspData(1)))
-        assert abs(a_chi(two, 2, P) - mpf(1) / 4) < mpf(2) ** (8 - P)
+        assert abs(a_chi(two, P) - mpf(1) / 4) < mpf(2) ** (8 - P)
 
 
 def test_a_chi_regular_all_half_angles():
@@ -86,12 +86,12 @@ def test_a_chi_regular_all_half_angles():
         rep = RepresentationData(
             h, cusp_data=tuple(CuspData(0, (0.5,) * h) for _ in range(c)))
         with mp.workprec(P + 8):
-            assert abs(a_chi(rep, c, P) - mpf(2) ** (-h * c)) < mpf(2) ** (8 - P)
+            assert abs(a_chi(rep, P) - mpf(2) ** (-h * c)) < mpf(2) ** (8 - P)
 
 
 def test_a_chi_positive(orbifold_pool):
     for orb in orbifold_pool[:20]:
-        assert a_chi(orb.rep, orb.signature.cusps, 64) > 0
+        assert a_chi(orb.rep, 64) > 0
 
 
 def test_degree_bound(orbifold_pool):

@@ -293,7 +293,7 @@ class _SyntheticSymmetricProvider:
         _, c1, c2 = ctx.constants
         with mp.workprec(prec + 16):
             tau = (2 * ctx.coeffs.b1 - c1
-                   + 2 * mp.log(a_chi(ctx.orb.rep, ctx.orb.signature.cusps, prec)))
+                   + 2 * mp.log(a_chi(ctx.orb.rep, prec)))
             target = self._even(w)
             assembled = ((2 * ctx.coeffs.b1 - c1) * w + 2 * ctx.coeffs.b0
                          + mp.mpf(ctx.k) / 2 * mp.log(4 * mp.pi) - c2)

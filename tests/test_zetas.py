@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,25 @@ def test_modular_euler_sum_builds_no_class_and_no_word(monkeypatch):
     assert selberg_log_z(ModularGeodesicSource(), mpc(3, 1), 2000, 64) == reference
 
 
+def test_euler_sum_forms_no_norm(monkeypatch, tmp_path):
+    # the trace rule is integer arithmetic and each trace's record holds
+    # log N alone, so neither a cold nor a warm sum forms N(t)
+    path = tmp_path / "omega.tsv"
+    _write_omega_table(path, modular_geodesics(500, prec=128), 60, 128)
+    makers = (ModularGeodesicSource, lambda: load_geodesic_table(path, prec=128))
+    points = (mpc(3, 1), mpf(4))
+    reference = {(make, cutoff): [selberg_log_z(make(), z, cutoff, 128) for z in points]
+                 for make in makers for cutoff in (400, mpf("400.5"))}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Euler sum formed a norm")
+
+    monkeypatch.setattr(zetas, "norm_of_trace", refuse)
+    for (make, cutoff), values in reference.items():
+        source = make()  # the first point is a cold sum, the second a warm one
+        assert [selberg_log_z(source, z, cutoff, 128) for z in points] == values
+
+
 def test_enumeration_limit_is_a_cutoff_error():
     with mp.workprec(200):
         above = norm_of_trace(MAX_ENUMERATED_TRACE + 1, 200) * (1 + mpf(2) ** -100)
@@ -134,7 +154,7 @@ def test_enumeration_limit_is_a_cutoff_error():
     for source in (modular_geodesics, ModularGeodesicSource().classes):
         with pytest.raises(CutoffError, match=str(MAX_ENUMERATED_TRACE)):
             source(above, prec=128)
-    assert _max_trace_for_cutoff(huge, 128) == 10**22 - 1
+    assert _max_trace_for_cutoff(huge, 128, 10**22) == 10**22 - 1
 
 
 def test_smallest_class():
@@ -377,11 +397,13 @@ def test_term_count_matches_the_mp_expression():
             bits = (wp + 10) * mp.log(2)
             for t in traces:
                 terms = _TraceTerms(t, (), wp)
+                with mp.workprec(wp + 24 + 64 + 8):
+                    log_norm = 2 * mp.acosh(mpf(t) / 2)
                 sigmas = [1 + mpf(2) ** -60, mpf(1) + mpf(2) ** -30, mpf(10) ** 6]
                 sigmas += [1 + mpf(rng.random()) ** 4 * rng.choice((1, 10, 1000))
                            for _ in range(97)]
                 for sigma in sigmas:
-                    expected = max(1, int(mp.ceil(bits / (sigma * terms.log_norm))))
+                    expected = max(1, int(mp.ceil(bits / (sigma * log_norm))))
                     assert terms.powers(sigma) == expected, (prec, t, sigma)
 
 
@@ -411,26 +433,24 @@ def test_cold_sum_evaluates_each_character_once_per_trace_and_power(monkeypatch)
 
 
 def test_warm_source_does_no_per_class_work(monkeypatch, norm_calls):
-    # an integer cutoff becomes a trace bound by integer arithmetic alone;
-    # any other cutoff costs the rule one norm comparison
-    rule_norms = {2000: 0, mpf("2000.5"): 1}  # 42 traces at both cutoffs
+    # every cutoff becomes a trace bound by integer arithmetic alone
+    cutoffs = (2000, mpf("2000.5"))  # 42 traces at both
     warm = {}
-    for cutoff, expected in rule_norms.items():
+    for cutoff in cutoffs:
         warm[cutoff] = ModularGeodesicSource()
         selberg_log_z(warm[cutoff], mpc(3, 1), cutoff, 128)
         norm_calls.clear()
-        _max_trace_for_cutoff(cutoff, 128)
-        assert len(norm_calls) == expected
+        _max_trace_for_cutoff(cutoff, 128, MAX_ENUMERATED_TRACE)
+        assert norm_calls == []
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-class work on a warm source")
 
     monkeypatch.setattr(ModularGeodesicSource, "classes", refuse)
     monkeypatch.setattr(zetas, "chi_trace", refuse)
-    for cutoff, expected in rule_norms.items():
-        norm_calls.clear()
+    for cutoff in cutoffs:
         selberg_log_z(warm[cutoff], mpc("3.5", -1), cutoff, 128)  # needs no new power
-        assert len(norm_calls) == expected
+    assert norm_calls == []
 
 
 def test_integer_cutoff_rule_is_exact_above_working_precision():
@@ -441,8 +461,25 @@ def test_integer_cutoff_rule_is_exact_above_working_precision():
         bits = rng.randint(60, 109)
         s = rng.getrandbits(bits) | 1 << (bits - 1)
         x = mpf(s * s - 3, prec=144, rounding="d")
-        assert _max_trace_for_cutoff(x, 128) == s - 1
-    assert [_max_trace_for_cutoff(x, 128) for x in (-3, 6, 7, 2000)] == [0, 2, 3, 44]
+        assert _max_trace_for_cutoff(x, 128, s) == s - 1
+    assert [_max_trace_for_cutoff(x, 128, 44) for x in (-3, 6, 7, 2000)] == [0, 2, 3, 44]
+
+
+def test_trace_rule_is_exact_at_the_norms():
+    # cutoffs within 2^-k of N(t), k up to 30 bits past the rule's prec + 16,
+    # and whole numbers near t^2, against norms at 1000 bits
+    rng = random.Random(44)
+    for _ in range(400):
+        prec, t = rng.choice((53, 64, 128, 256)), rng.randint(3, 3000)
+        with mp.workprec(2 * prec + 80):
+            n = norm_of_trace(t, 2 * prec + 80)
+            k = rng.randint(1, prec + 46)
+            for x in (n * (1 + mpf(2) ** -k), n * (1 - mpf(2) ** -k),
+                      mpf(t * t - rng.randint(-2, 4))):
+                got = _max_trace_for_cutoff(x, prec, 10**6)
+                with mp.workprec(1000):
+                    assert got < 3 or norm_of_trace(got, 1000) <= x, (prec, t, k)
+                    assert x < norm_of_trace(max(got + 1, 3), 1000), (prec, t, k)
 
 
 def test_trace_terms_are_keyed_by_precision_and_extended_lazily():
@@ -780,6 +817,21 @@ def test_generic_scattering_parsed_at_working_precision(tmp_path):
     g = load_generic_scattering(path, prec=256)
     with mp.workprec(256):
         assert g.c1 == mpf("0.1") and g.terms[0][1] == mpf("0.3")
+
+
+def test_generic_scattering_keeps_its_numbers_exact():
+    # u_n used to be compared after rounding to 64 bits, and c1, c2 came
+    # back at 256 bits whatever precision was asked
+    near = "1.5" + "0" * 25 + "1"  # 1.5 + 1e-26, equal to 1.5 at 64 bits
+    for u in (near, Fraction(3, 2) + Fraction(1, 10**26), mpf(near, prec=128)):
+        g = GenericScattering(k=1, c1="0.1", terms=((Fraction(3, 2), 1), (u, 2)))
+        with mp.workprec(600):
+            assert abs(g.constants(512)[1] - mpf(1) / 10) < mpf(2) ** -510
+    with pytest.raises(DomainError, match="strictly increasing"):
+        GenericScattering(k=1, terms=(("1.5", 1), (Fraction(3, 2), 2)))
+    for u in (mpf("inf"), float("nan"), "inf", "abc", mpc(2, 1)):
+        with pytest.raises(DomainError, match="finite reals"):
+            GenericScattering(k=1, terms=((u, 1),))
 
 
 def test_generic_scattering_roundtrip(tmp_path):
