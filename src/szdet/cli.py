@@ -7,7 +7,8 @@ Subcommands
 
 Flags: --prec <bits>, at least 53 (default 256 for mn and detsq, 192 for
 verify); mn and detsq take --format json|csv (default json), and detsq takes
---cutoff-norm <real> (default 1e6).
+--cutoff-norm <real> (default 1e6).  detsq reads --z at the working
+precision, --prec plus 16 bits.
 
 Exit codes: 0 ok, 2 domain error, 64 usage, 70 internal.
 
@@ -247,13 +248,15 @@ def cmd_mn(orb: OrbifoldData, n_max: int, prec: int, fmt: str) -> str:
     return emit_table(rows, fmt, {"command": "mn", "precision_bits": prec})
 
 
-def _parse_z(text: str):
-    try:
-        parts = [mpf(p) for p in text.split(",")]
-    except ValueError:
-        parts = []
-    if 1 <= len(parts) <= 2 and all(mp.isfinite(p) for p in parts):
-        return parts[0] if len(parts) == 1 else mpc(*parts)
+def _parse_z(text: str, prec: int):
+    """--z read at the command's working precision, prec + 16 bits."""
+    with mp.workprec(prec + 16):
+        try:
+            parts = [mpf(p) for p in text.split(",")]
+        except ValueError:
+            parts = []
+        if 1 <= len(parts) <= 2 and all(mp.isfinite(p) for p in parts):
+            return parts[0] if len(parts) == 1 else mpc(*parts)
     raise UsageError(f"cannot parse --z value {text!r}; use finite RE or RE,IM")
 
 
@@ -368,7 +371,7 @@ def main(argv=None) -> int:
             sys.stdout.write(cmd_mn(orb, args.n_max, args.prec, args.format))
             return EXIT_OK
         if args.command == "detsq":
-            z = _parse_z(args.z)
+            z = _parse_z(args.z, args.prec)
             sys.stdout.write(
                 cmd_detsq(orb, scattering, z, args.prec, args.cutoff_norm,
                           args.format)

@@ -117,11 +117,6 @@ def g1_coefficients(orb: OrbifoldData, prec: int = DEFAULT_PREC) -> ExpansionCoe
     )
 
 
-def _check_off_cut(arg, what: str):
-    if _is_real(arg) and _real(arg) <= 0:
-        raise BranchError(f"{what} argument {arg} lies on the cut (-inf, 0]")
-
-
 def log_g1(orb: OrbifoldData, s, prec: int = DEFAULT_PREC):
     """Direct evaluation of log G1(s) as a sum of scaled logs of the factors.
 
@@ -129,8 +124,9 @@ def log_g1(orb: OrbifoldData, s, prec: int = DEFAULT_PREC):
     (-inf, 0], as computed by log_gamma and log_barnes_g.
 
     Raises SingularityError within 2^(-prec/4) of a nonpositive integer -n
-    where m_n != 0, and BranchError if any constituent Gamma/G argument lies
-    on the cut (-inf, 0].
+    where m_n != 0, and BranchError if s lies on the cut (-inf, 0]; the
+    other arguments, s + 1 and (s + m)/d with m >= 0, lie on it only if s
+    does.
     """
     with mp.workprec(prec + 16):
         z = to_scalar(s, prec + 16)
@@ -143,7 +139,8 @@ def log_g1(orb: OrbifoldData, s, prec: int = DEFAULT_PREC):
                 )
         h = orb.dim
         hv = frac_to_mpf(h * vol_over_2pi(orb.signature))
-        _check_off_cut(z, "Gamma")
+        if _is_real(z) and _real(z) <= 0:
+            raise BranchError(f"Gamma argument {z} lies on the cut (-inf, 0]")
         lg_s = log_gamma(z, prec + 16)
         val = hv * (
             -z * mp.log(2 * mp.pi)
@@ -154,9 +151,7 @@ def log_g1(orb: OrbifoldData, s, prec: int = DEFAULT_PREC):
             w = mp.mpf(h) * (d - 1) / d
             val += -w * z * mp.log(d) + w * lg_s
             for m in range(d):
-                arg = (z + m) / d
-                _check_off_cut(arg, "Gamma")
                 a = alpha(d, qs, m)
                 if a:
-                    val -= mp.mpf(a) / d * log_gamma(arg, prec + 16)
+                    val -= mp.mpf(a) / d * log_gamma((z + m) / d, prec + 16)
     return _rounded(prec, val)

@@ -31,7 +31,14 @@ _GUARD = 32
 
 
 def to_scalar(x, prec: int = DEFAULT_PREC):
-    """Convert x to an mpf/mpc at the given precision."""
+    """x as an mpf, or an mpc if its imaginary part is nonzero.
+
+    A Fraction, int, float or string is converted at ``prec`` bits.  An mpf
+    or mpc is returned as given, at the precision it carries, not rounded to
+    ``prec`` (an mpc with zero imaginary part becomes its real part).  The
+    exact trace rule relies on this: it reads an mpf cutoff at its full
+    binary value, however many bits that takes.
+    """
     with mp.workprec(prec):
         if isinstance(x, Fraction):
             return mp.mpf(x.numerator) / x.denominator

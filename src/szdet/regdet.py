@@ -27,9 +27,11 @@ det^2 and the recovered phi at z are prefactor algebra over one memoized
 PointValues record (log Z, log G1, log Z+ and phi at z, each evaluated once);
 the three prefactors stay separate expressions, so det^2 = D+ D- and the phi
 recovery still test the b1, c1, c2 and k terms.  Values elsewhere require
-a caller-supplied continuation provider (this module never fabricates
-analytic continuation it cannot certify).  The generic "toy" Voros
-engine over an explicit zero list is an oracle and lives in szdet.oracles.
+a caller-supplied continuation provider of log Z (this module never
+fabricates analytic continuation it cannot certify); phi on either side is
+the scattering model's, which refuses where it cannot evaluate.  The
+generic "toy" Voros engine over an explicit zero list is an oracle and
+lives in szdet.oracles.
 """
 
 from __future__ import annotations
@@ -42,16 +44,8 @@ from mpmath import mp
 
 from .errors import ProviderDomainError, SignatureError
 from .gfuncs import ExpansionCoefficients, g1_coefficients, log_g1
-from .numerics import (
-    DEFAULT_PREC,
-    _real,
-    _rounded,
-    frac_to_mpf,
-    log_gamma,
-    plog,
-    to_scalar,
-)
-from .orbifold import OrbifoldData, a_chi, degree_of_singularity, vol_over_2pi
+from .numerics import DEFAULT_PREC, _real, _rounded, frac_to_mpf, log_gamma, to_scalar
+from .orbifold import OrbifoldData, a_chi, degree_of_singularity
 from .zetas import (
     GeodesicSource,
     ScatteringModel,
@@ -64,7 +58,8 @@ from .zetas import (
 class PointValues:
     """The values at one point z that every product at z is built from.
 
-    ``z`` is the memo key (z rounded to the context precision); ``log_z`` is
+    ``z`` is the memo key (z as to_scalar gives it at the context precision,
+    so an mpf or mpc z is kept as given); ``log_z`` is
     the truncated Euler sum with its tail bound; ``log_z_plus`` is
     log Z(z) - log G1(z) - k log Gamma(z - 1/2).  ``log_g1``, the gamma part
     of ``log_z_plus`` and ``phi`` are evaluated with prec + 16 bits.
@@ -122,8 +117,9 @@ class SurfaceContext:
         return self.point(z).log_z
 
     def point(self, z) -> PointValues:
-        """The PointValues at z, keyed by z rounded to the context precision;
-        raises off Re(z) > 1."""
+        """The PointValues at z, keyed by to_scalar(z, prec), which converts a
+        non-mpmath z at the context precision and keeps an mpf or mpc z as
+        given; raises off Re(z) > 1."""
         key = to_scalar(z, self.prec)
         if self._last_point is None or self._last_point.z != key:
             self._last_point = self._evaluate(key)
@@ -163,22 +159,20 @@ def superzeta_zero_poly(ctx: SurfaceContext, sign: int) -> tuple[Fraction, Fract
     """Exact (c2, c1, c0) of the degree-two polynomial SZ_sign(0, z)."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    hv = ctx.orb.dim * vol_over_2pi(ctx.orb.signature)
     k = Fraction(ctx.k)
-    c2 = -hv
+    c2 = -ctx.coeffs.a2t
     c1 = -(ctx.coeffs.a1t + k)
     c0 = (k if sign > 0 else k / 2) - ctx.coeffs.a0t
     return (c2, c1, c0)
 
 
-def superzeta_at_zero(ctx: SurfaceContext, z, sign: int, prec: Optional[int] = None):
+def superzeta_at_zero(ctx: SurfaceContext, z, sign: int):
     """SZ+-(0, z) evaluated from the exact polynomial coefficients."""
-    prec = prec or ctx.prec
     c2, c1, c0 = superzeta_zero_poly(ctx, sign)
-    with mp.workprec(prec + 8):
-        w = to_scalar(z, prec + 8)
+    with mp.workprec(ctx.prec + 8):
+        w = to_scalar(z, ctx.prec + 8)
         val = frac_to_mpf(c2) * w * w + frac_to_mpf(c1) * w + frac_to_mpf(c0)
-    return _rounded(prec, val)
+    return _rounded(ctx.prec, val)
 
 
 def _prefactor_plus(ctx: SurfaceContext, w):
@@ -205,6 +199,12 @@ def _prefactor_det(ctx: SurfaceContext, w):
     )
 
 
+def _det_squared_at(ctx: SurfaceContext, w, log_z_plus, phi):
+    """det^2(w) from log Z+(w) and phi(w): the one det^2 expression, used by
+    det_squared and functional_symmetry_residual."""
+    return mp.exp(_prefactor_det(ctx, w) + 2 * log_z_plus) * phi
+
+
 def d_plus(ctx: SurfaceContext, z):
     """D+(z) = exp(b1 z + b0 + (k/2) log 2pi) Z+(z)."""
     v = ctx.point(z)
@@ -225,7 +225,7 @@ def det_squared(ctx: SurfaceContext, z):
     """det^2(Delta - z(1-z)I) by the explicit formula; equals D+ D-."""
     v = ctx.point(z)
     with mp.workprec(ctx.prec + 16):
-        val = mp.exp(_prefactor_det(ctx, v.z) + 2 * v.log_z_plus) * v.phi
+        val = _det_squared_at(ctx, v.z, v.log_z_plus, v.phi)
     return _rounded(ctx.prec, val)
 
 
@@ -249,11 +249,9 @@ def phi_from_superzeta(ctx: SurfaceContext, z):
 
 
 class ContinuationProvider(Protocol):
-    """Supplies log Z and log phi wherever it can certify them."""
+    """Supplies log Z wherever it can certify it."""
 
     def log_selberg_z(self, z, prec: int): ...
-
-    def log_scattering_phi(self, z, prec: int): ...
 
 
 @dataclass
@@ -262,40 +260,27 @@ class EulerProductProvider:
 
     ctx: SurfaceContext
 
-    def _check(self, z):
+    def log_selberg_z(self, z, prec: int):
         if _real(to_scalar(z, 64)) <= 1:
             raise ProviderDomainError(
                 f"Euler-product provider cannot evaluate at Re(z) <= 1 (z = {z})"
             )
-
-    def log_selberg_z(self, z, prec: int):
-        self._check(z)
         return self.ctx.point(z).log_z.value
-
-    def log_scattering_phi(self, z, prec: int):
-        self._check(z)
-        with mp.workprec(prec + 8):
-            return _rounded(prec, plog(self.ctx.point(z).phi))
-
-
-def _log_dplus_dminus(ctx: SurfaceContext, w, provider, prec: int):
-    log_z = provider.log_selberg_z(w, prec)
-    log_phi = provider.log_scattering_phi(w, prec)
-    _, gamma_part = _log_gamma_part(ctx, w, prec)
-    return _prefactor_det(ctx, w) + log_phi + 2 * (log_z - gamma_part)
 
 
 def functional_symmetry_residual(ctx: SurfaceContext, z, provider: ContinuationProvider):
     """exp(-tau z) D+(z) D-(z) - exp(-tau (1-z)) D+(1-z) D-(1-z).
 
-    tau = 2 b1 - c1 + 2 log a(chi).  Zero in exact arithmetic; evaluating the
-    second term requires the provider to continue Z and phi to 1 - z, so the
-    built-in Euler-product provider refuses for Re(z) > 1 by construction.
+    tau = 2 b1 - c1 + 2 log a(chi).  Zero in exact arithmetic.  Each side is
+    det^2 by the formula det_squared prints, from the provider's log Z, then
+    the gamma part, then the scattering model's phi.  The second term needs
+    log Z at 1 - z, so the built-in Euler-product provider refuses for
+    Re(z) > 1 by construction.
 
     At real z > 1 the point 1 - z lies on the cut (-inf, 0] of log G1, so the
-    call cannot succeed with any provider: one that does supply values at
+    call cannot succeed with any provider: one that does supply log Z at
     1 - z meets BranchError, or SingularityError at an integer z where
-    m_(z-1) != 0.
+    m_(z-1) != 0, before phi is evaluated there.
     """
     _, c1, _ = ctx.constants
     wp = ctx.prec + 16
@@ -306,6 +291,11 @@ def functional_symmetry_residual(ctx: SurfaceContext, z, provider: ContinuationP
             - c1
             + 2 * mp.log(a_chi(ctx.orb.rep, wp))
         )
-        lhs = mp.exp(-tau * w + _log_dplus_dminus(ctx, w, provider, wp))
-        rhs = mp.exp(-tau * (1 - w) + _log_dplus_dminus(ctx, 1 - w, provider, wp))
-    return _rounded(ctx.prec, lhs - rhs)
+        sides = []
+        for u in (w, 1 - w):
+            log_z = provider.log_selberg_z(u, wp)
+            _, gamma_part = _log_gamma_part(ctx, u, wp)
+            phi = ctx.scattering.phi(u, wp)
+            det = _det_squared_at(ctx, u, log_z - gamma_part, phi)
+            sides.append(mp.exp(-tau * u) * det)
+    return _rounded(ctx.prec, sides[0] - sides[1])

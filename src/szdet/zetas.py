@@ -486,8 +486,10 @@ class GenericScattering:
     H(s) = 1 + sum_n a_n u_n^(-2s) with 1 < u_2 < u_3 < ...  The supplied
     terms are treated as exact, so the declared series end carries no
     truncation estimate, and the u_n are compared exactly; validity demands
-    Re(s) > 1.  The numbers are converted only where used, at the precision
-    asked.
+    Re(s) > 1, so phi refuses Re(s) <= 1 and Gamma(s - 1/2) meets no pole.
+    The numbers are converted with to_scalar where used: a Python number at
+    the precision asked, an mpf or mpc (as load_generic_scattering makes
+    them) as given.
     """
 
     k: int
@@ -513,8 +515,6 @@ class GenericScattering:
                 raise ConvergenceError(
                     "generic scattering series requires Re(s) > 1"
                 )
-            if _nonpositive_integer(z - mp.mpf(1) / 2) is not None:
-                raise PoleError(f"Gamma(s - 1/2) pole at s = {s}")
             ell = self.k * (
                 mp.log(mp.pi) / 2 + log_gamma(z - mp.mpf(1) / 2, wp) - log_gamma(z, wp)
             ) + to_scalar(self.c1, wp) * z + to_scalar(self.c2, wp)

@@ -10,7 +10,8 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import szdet.cli as cli
-from szdet import numerics, zetas
+from szdet import numerics, regdet, zetas
+from szdet.orbifold import modular_orbifold
 from szdet.zetas import ModularGeodesicSource, selberg_log_z
 
 
@@ -125,6 +126,25 @@ def test_detsq_precision_levels_agree(modular_doc, capsys):
         da = mpf(outs[0]["det_squared"]["re"])
         db = mpf(outs[1]["det_squared"]["re"])
         assert abs(da - db) < mpf(10) ** -30 * abs(db)
+
+
+@pytest.mark.parametrize("z_text", ["10.1", "10.1,0.3"])
+def test_detsq_reads_z_at_the_working_precision(z_text, modular_doc, capsys):
+    # read at 53 bits, --z 10.1 moved det^2 by 4.4e-15 relative while the
+    # row claimed 26 digits; a p-versus-2p run cannot see this, since both
+    # runs would read z at 53 bits
+    assert cli.main(["detsq", "--orbifold", modular_doc, "--z", z_text,
+                     "--prec", "256", "--cutoff-norm", "1e5"]) == 0
+    row = _rows(capsys.readouterr().out)["det_squared"]
+    assert row["certified_digits"] > 20
+    ctx = regdet.SurfaceContext(modular_orbifold(), ModularGeodesicSource(),
+                                zetas.ModularScattering(), prec=256, cutoff_norm=1e5)
+    with mp.workprec(272):
+        z = mpc(*[mpf(p) for p in z_text.split(",")])
+        want = regdet.det_squared(ctx, z)
+    with mp.workprec(300):
+        got = mpc(row["re"], row["im"])
+        assert abs(got - want) < mpf(10) ** -row["certified_digits"] * abs(want)
 
 
 def test_output_deterministic(modular_doc, capsys):

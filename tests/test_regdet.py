@@ -283,9 +283,6 @@ class _SyntheticSymmetricProvider:
         u = (w - mpf(1) / 2) ** 2
         return mpf("0.3") * u + mpf("1.7")
 
-    def log_scattering_phi(self, w, prec):
-        return mp.mpf(0)
-
     def log_selberg_z(self, w, prec):
         if w not in self.domain:
             raise ProviderDomainError(f"synthetic provider has no data at {w}")
@@ -298,7 +295,8 @@ class _SyntheticSymmetricProvider:
             assembled = ((2 * ctx.coeffs.b1 - c1) * w + 2 * ctx.coeffs.b0
                          + mp.mpf(ctx.k) / 2 * mp.log(4 * mp.pi) - c2)
             rest = -log_g1(ctx.orb, w, prec) - ctx.k * log_gamma(w - mpf(1) / 2, prec)
-            return (target + tau * w - assembled) / 2 - rest
+            log_phi = mp.log(ctx.scattering.phi(w, prec))
+            return (target + tau * w - assembled - log_phi) / 2 - rest
 
 
 def test_synthetic_symmetric_provider(modular_ctx):
@@ -311,9 +309,6 @@ def test_synthetic_symmetric_provider(modular_ctx):
 
 class _ZeroProvider:
     def log_selberg_z(self, w, prec):
-        return mp.mpf(0)
-
-    def log_scattering_phi(self, w, prec):
         return mp.mpf(0)
 
 
