@@ -270,10 +270,6 @@ def cmd_detsq(orb, scattering, z, prec: int, cutoff, fmt: str) -> str:
             "geodesics: detsq enumerates geodesics only for the modular group "
             "(0;1;2,3) with a trivial representation"
         )
-    with mp.workprec(prec + 8):
-        zz = to_scalar(z, prec + 8)
-        if (zz.real if isinstance(zz, mpc) else zz) <= 1:
-            raise SZDetError("Euler-product domain requires Re(z)>1")
     ctx = regdet.SurfaceContext(
         orb, zetas.ModularGeodesicSource(dim=orb.dim), scattering,
         prec=prec, cutoff_norm=cutoff,

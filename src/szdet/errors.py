@@ -46,7 +46,7 @@ class ConvergenceError(SZDetError):
 
 
 class CutoffError(SZDetError):
-    """Enumeration cutoff below the smallest admissible element."""
+    """Norm cutoff below N(3) or past the traces a geodesic source counts."""
 
 
 class CutError(SZDetError):

@@ -42,9 +42,9 @@ from typing import Optional, Protocol
 
 from mpmath import mp
 
-from .errors import ProviderDomainError, SignatureError
+from .errors import ConvergenceError, ProviderDomainError, SignatureError
 from .gfuncs import ExpansionCoefficients, g1_coefficients, log_g1
-from .numerics import DEFAULT_PREC, _real, _rounded, frac_to_mpf, log_gamma, to_scalar
+from .numerics import DEFAULT_PREC, _rounded, frac_to_mpf, log_gamma, to_scalar
 from .orbifold import OrbifoldData, a_chi, degree_of_singularity
 from .zetas import (
     GeodesicSource,
@@ -261,11 +261,10 @@ class EulerProductProvider:
     ctx: SurfaceContext
 
     def log_selberg_z(self, z, prec: int):
-        if _real(to_scalar(z, 64)) <= 1:
-            raise ProviderDomainError(
-                f"Euler-product provider cannot evaluate at Re(z) <= 1 (z = {z})"
-            )
-        return self.ctx.point(z).log_z.value
+        try:
+            return self.ctx.point(z).log_z.value
+        except ConvergenceError as exc:
+            raise ProviderDomainError(f"Euler-product provider at z = {z}: {exc}") from exc
 
 
 def functional_symmetry_residual(ctx: SurfaceContext, z, provider: ContinuationProvider):

@@ -42,7 +42,6 @@ from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, pi_fixed
 from .errors import ConvergenceError, CutoffError, DomainError, PoleError
 from .numerics import (
     DEFAULT_PREC,
-    _is_real,
     _nonpositive_integer,
     _real,
     _rounded,
@@ -75,11 +74,6 @@ def word_matrix(word: str):
         else:
             raise DomainError(f"word may contain only L and R, got {ch!r}")
     return m0, m1, m2, m3
-
-
-def word_trace(word: str) -> int:
-    m = word_matrix(word)
-    return m[0] + m[3]
 
 
 def norm_of_trace(t: int, prec: int = DEFAULT_PREC):
@@ -125,7 +119,7 @@ class GeodesicSource(Protocol):
     source that cannot count every class under the cutoff raises CutoffError.
 
     ``max_trace`` is the largest trace the source can count classes up to;
-    a cutoff whose trace bound lies beyond it is refused.
+    _trace_bound refuses a cutoff whose trace bound lies beyond it or below 3.
 
     ``_terms`` belongs to ``selberg_log_z``: it holds the z-independent terms
     of each trace's series under their (trace bound, prec) key, for the last
@@ -205,22 +199,19 @@ def _modular_walk(tmax: int):
                 tr += l1
 
 
-def _modular_words_up_to_trace(tmax: int):
-    """Primitive classes with trace <= tmax as sorted (trace, word) pairs."""
-    return sorted((tr, "".join(["L" * a + "R" * b for a, b in blocks]))
-                  for tr, blocks in _modular_walk(tmax))
-
-
-def _modular_trace_bound(norm_cutoff, prec: int) -> int:
-    """The trace bound of a cutoff, refused outside N(3)..N(MAX_ENUMERATED_TRACE)."""
-    tmax = _max_trace_for_cutoff(norm_cutoff, prec, MAX_ENUMERATED_TRACE)
+def _trace_bound(norm_cutoff, prec: int, limit: int) -> int:
+    """The trace bound of a cutoff for a source that counts every class up to
+    trace ``limit``: the one rule that refuses a cutoff, below N(3) or at
+    N(limit + 1) and above."""
+    tmax = _max_trace_for_cutoff(norm_cutoff, prec, limit)
     if tmax < 3:
         raise CutoffError(f"cutoff {norm_cutoff} below the smallest norm "
                           f"{norm_of_trace(3, 53)}")
-    if tmax > MAX_ENUMERATED_TRACE:
-        limit = mp.nstr(norm_of_trace(MAX_ENUMERATED_TRACE, 53), 10)
-        raise CutoffError(f"cutoff {norm_cutoff} above the enumeration limit: "
-                          f"norm {limit} (trace {MAX_ENUMERATED_TRACE})")
+    if tmax > limit:
+        raise CutoffError(f"cutoff {norm_cutoff} reaches the enumeration limit: "
+                          f"the source is complete only up to trace {limit}, so "
+                          f"a cutoff must lie below N({limit + 1}) = "
+                          f"{mp.nstr(norm_of_trace(limit + 1, 53), 10)}")
     return tmax
 
 
@@ -229,8 +220,9 @@ def modular_geodesics(norm_cutoff, prec: int = DEFAULT_PREC):
     word), sharing one trivial one-dimensional ``chi``: a listing for tables
     and tests, which the Euler sum does not read."""
     chi = ("trivial", 1)
-    return [GeodesicClass(word=w, trace=tr, chi=chi) for tr, w in
-            _modular_words_up_to_trace(_modular_trace_bound(norm_cutoff, prec))]
+    words = sorted((tr, "".join(["L" * a + "R" * b for a, b in blocks])) for tr, blocks
+                   in _modular_walk(_trace_bound(norm_cutoff, prec, MAX_ENUMERATED_TRACE)))
+    return [GeodesicClass(word=w, trace=tr, chi=chi) for tr, w in words]
 
 
 @dataclass
@@ -244,7 +236,7 @@ class ModularGeodesicSource:
 
     def classes(self, norm_cutoff, prec: int = DEFAULT_PREC):
         chi, counts = ("trivial", self.dim), Counter(
-            tr for tr, _ in _modular_walk(_modular_trace_bound(norm_cutoff, prec)))
+            tr for tr, _ in _modular_walk(_trace_bound(norm_cutoff, prec, self.max_trace)))
         return [(tr, ((chi, counts[tr]),)) for tr in sorted(counts)]
 
 
@@ -254,7 +246,8 @@ class ListGeodesicSource:
 
     The list counts as complete up to its largest trace: a cutoff whose trace
     bound lies beyond it raises CutoffError, since the classes missing there
-    would otherwise be dropped from the sum without a word.
+    would otherwise be dropped from the sum without a word, and so does a
+    cutoff below N(3), as for every source.
     """
 
     entries: tuple
@@ -266,12 +259,7 @@ class ListGeodesicSource:
         self.max_trace = max((c.trace for c in self.entries), default=2)
 
     def classes(self, norm_cutoff, prec: int = DEFAULT_PREC):
-        tmax = _max_trace_for_cutoff(norm_cutoff, prec, self.max_trace)
-        if tmax > self.max_trace:
-            raise CutoffError(
-                f"cutoff {norm_cutoff} reaches past the class list, which "
-                f"is complete only up to trace {self.max_trace}"
-            )
+        tmax = _trace_bound(norm_cutoff, prec, self.max_trace)
         groups = {}
         for c in sorted((c for c in self.entries if c.trace <= tmax),
                         key=lambda c: (c.trace, c.word)):
@@ -383,11 +371,7 @@ def selberg_log_z(
         sigma = _real(z)
         if sigma <= 1:
             raise ConvergenceError("Euler product requires Re(s) > 1")
-        tmax = _max_trace_for_cutoff(cutoff, prec, source.max_trace)
-        if tmax < 3:
-            raise CutoffError(
-                f"cutoff {cutoff} below the smallest norm {norm_of_trace(3, 53)}"
-            )
+        tmax = _trace_bound(cutoff, prec, source.max_trace)
         frac, is_complex = wp + _FIXED_GUARD, isinstance(z, mpc)
         # N(t) < t^2, so one bit over log2(1 + |tau| 2 log t) covers the phase
         tau = mp.im(z)
@@ -447,22 +431,28 @@ class ModularScattering:
         return (1, mp.mpf(0), mp.mpf(0))
 
     def phi(self, s, prec: int = DEFAULT_PREC):
+        """phi(s), finite everywhere but at its pole s = 1.  Where the formula meets a
+        pole of a Gamma factor it takes the limit: phi(0) = 0, phi(1/2) = -1,
+        and phi(s) = 1/phi(1 - s) at s = -n and s = 1/2 - n for n >= 1."""
         wp = prec + 16
         with mp.workprec(wp):
-            z = to_scalar(s, wp)
-            if _is_real(z) and (_real(z) == 1 or _real(z) == mp.mpf(1) / 2):
+            z, half = to_scalar(s, wp), mp.mpf(1) / 2
+            if z == 1:
                 raise PoleError(f"modular scattering determinant pole at s = {s}")
-            if _nonpositive_integer(z - mp.mpf(1) / 2) is not None:
-                raise PoleError(f"Gamma(s - 1/2) pole at s = {s}")
-            if _nonpositive_integer(z) is not None:
-                raise PoleError(f"Gamma(s) pole at s = {s}")
-            val = (
-                mp.sqrt(mp.pi)
-                * mp.gamma(z - mp.mpf(1) / 2)
-                / mp.gamma(z)
-                * riemann_zeta(2 * z - 1, wp)
-                / riemann_zeta(2 * z, wp)
-            )
+            if z == 0:
+                val = mp.mpf(0)
+            elif z == half:
+                val = mp.mpf(-1)
+            elif _nonpositive_integer(z) is not None or _nonpositive_integer(z - half) is not None:
+                val = 1 / self.phi(1 - z, wp)
+            else:
+                val = (
+                    mp.sqrt(mp.pi)
+                    * mp.gamma(z - half)
+                    / mp.gamma(z)
+                    * riemann_zeta(2 * z - 1, wp)
+                    / riemann_zeta(2 * z, wp)
+                )
         return _rounded(prec, val)
 
 
@@ -569,19 +559,26 @@ def _table_number(text: str, where: str):
     raise DomainError(f"{where}: {text!r} is not a finite number")
 
 
-def _table_chi(text: str, where: str):
+def _table_chi(text: str, where: str, dim: int):
+    """A character cell; |tr chi| <= dim (up to rounding, 2^-20 relative),
+    which the tail's dim factor and selberg_log_z's rounding bound assume."""
     parts = text.split(",")
     if len(parts) > 2:
         raise DomainError(f"{where}: character cell {text!r} holds "
                           f"{len(parts)} numbers, expected 're' or 're,im'")
-    return mp.mpc(*[_table_number(p, where) for p in parts])
+    value = mp.mpc(*[_table_number(p, where) for p in parts])
+    if abs(value) > dim * (1 + mp.mpf(2) ** -20):
+        raise DomainError(f"{where}: character cell {text!r} exceeds the "
+                          f"dimension {dim} in absolute value")
+    return value
 
 
 def _table_trace(word: str, text: str, where: str) -> int:
     try:
-        trace = word_trace(word)
+        m0, _, _, m3 = word_matrix(word)
     except DomainError as exc:
         raise DomainError(f"{where}: {exc}") from None
+    trace = m0 + m3
     if text.strip() != str(trace):
         raise DomainError(f"{where}: trace column {text!r} does not match "
                           f"the trace {trace} of {word}")
@@ -611,10 +608,10 @@ def _table_word(word: str, where: str, lineno: int, first: dict):
     first[word] = lineno
 
 
-def _parsed(memo: dict, text: str, parse, where: str):
+def _parsed(memo: dict, text: str, parse, where: str, *args):
     value = memo.get(text)
     if value is None:
-        value = memo[text] = parse(text, where)
+        value = memo[text] = parse(text, where, *args)
     return value
 
 
@@ -629,11 +626,11 @@ def load_geodesic_table(path, dim: int = 1, prec: int = DEFAULT_PREC) -> ListGeo
     Euler sum evaluates each trace's distinct characters once.  The trace
     column must equal the trace of the word's matrix, the norm column is
     parsed but not kept, and a character cell holds one or two numbers ('re'
-    or 're,im').  A short line, a malformed or non-finite number, a letter
-    other than L and R, a trace that does not match the word or is below 3,
-    or a word that is a proper power, not the least rotation of its class or
-    a repeat raises DomainError naming the file and the first line where it
-    occurs.
+    or 're,im').  A short line, a malformed or non-finite number, a
+    character trace above ``dim`` in absolute value, a letter other than L
+    and R, a trace that does not match the word or is below 3, or a word that
+    is a proper power, not the least rotation of its class or a repeat raises
+    DomainError naming the file and the first line where it occurs.
     """
     entries, norms, cells, rows, first = [], {}, {}, {}, {}
     with mp.workprec(prec), open(path) as fh:
@@ -654,7 +651,7 @@ def load_geodesic_table(path, dim: int = 1, prec: int = DEFAULT_PREC) -> ListGeo
             chi = rows.get(row)
             if chi is None:
                 chi = rows[row] = ("table", tuple(
-                    _parsed(cells, c, _table_chi, where)
+                    _parsed(cells, c, _table_chi, where, dim)
                     for c in (row.split("\t") if row else ())))
             entries.append(GeodesicClass(word=word, trace=trace, chi=chi))
     return ListGeodesicSource(entries=tuple(entries), dim=dim)

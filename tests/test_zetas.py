@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import re
@@ -29,21 +30,23 @@ from szdet.zetas import (
     save_geodesic_table,
     selberg_log_z,
     word_matrix,
-    word_trace,
     _TraceTerms,
     _max_trace_for_cutoff,
-    _modular_words_up_to_trace,
     chi_trace,
 )
 
 P = 256
 
 
+def _trace(word):
+    m0, _, _, m3 = word_matrix(word)
+    return m0 + m3
+
+
 def test_word_matrix_examples():
     assert word_matrix("LLRR") == (5, 2, 2, 1)
-    assert word_trace("LLRR") == 6
-    assert word_trace("LR") == 3
-    assert word_trace("LLR") == 4 == word_trace("LRR")
+    assert word_matrix("LR") == (2, 1, 1, 1)
+    assert word_matrix("LLR") == (3, 2, 1, 1) and word_matrix("LRR") == (3, 1, 2, 1)
 
 
 def test_word_matrix_matches_letter_by_letter_product():
@@ -74,7 +77,7 @@ def _brute_force_necklaces(tmax):
         for a in range(1, tmax):
             for b in range(1, tmax):
                 word = w + "L" * a + "R" * b
-                tr = word_trace(word)
+                tr = _trace(word)
                 if tr > tmax:
                     break
                 stack.append(word)
@@ -85,7 +88,7 @@ def _brute_force_necklaces(tmax):
                                     for d in range(1, len(canon))
                                     if len(canon) % d == 0)
                     out.append((tr, canon, primitive))
-            if word_trace(w + "L" * a + "R") > tmax:
+            if _trace(w + "L" * a + "R") > tmax:
                 break
     return sorted(out)
 
@@ -95,8 +98,10 @@ def test_walk_matches_brute_force_reference():
     assert ("LLRLLR" in {w for _, w, p in ref if not p}
             and "LLR" in {w for _, w, p in ref if p})
     for tmax in range(-1, 81):
-        assert _modular_words_up_to_trace(tmax) == [
-            (t, w) for t, w, p in ref if p and t <= tmax]
+        # N(t) < t^2 - 2 < t^2 - 1 < N(t + 1): the cutoff t^2 - 1 keeps trace t
+        if tmax >= 3:
+            assert [(c.trace, c.word) for c in modular_geodesics(tmax * tmax - 1, 64)] == [
+                (t, w) for t, w, p in ref if p and t <= tmax]
         counts = {}
         for t, _, _ in ref:
             if t <= tmax:
@@ -108,7 +113,8 @@ def test_census_of_primitive_classes():
     # N(316) < 1e5 < N(317) and N(1000) < 1e6 < N(1001); the source counts
     # the walk's traces, with one trivial character, as the listed words do
     for tmax, cutoff, census in ((316, 1e5, (9558, 314)), (1000, 1e6, (78441, 998))):
-        words = Counter(t for t, _ in _modular_words_up_to_trace(tmax))
+        words = Counter(c.trace for c in modular_geodesics(cutoff, 64))
+        assert max(words) == tmax
         assert (sum(words.values()), len(words)) == census
         counts = ModularGeodesicSource().classes(cutoff, 64)
         assert [(t, [n for _, n in groups]) for t, groups in counts] == [
@@ -121,7 +127,7 @@ def test_modular_euler_sum_builds_no_class_and_no_word(monkeypatch):
         raise AssertionError("the modular Euler sum built a class or a word")
 
     reference = selberg_log_z(ModularGeodesicSource(), mpc(3, 1), 2000, 64)
-    for name in ("GeodesicClass", "_modular_words_up_to_trace"):
+    for name in ("GeodesicClass", "modular_geodesics"):
         monkeypatch.setattr(zetas, name, refuse)
     assert selberg_log_z(ModularGeodesicSource(), mpc(3, 1), 2000, 64) == reference
 
@@ -193,11 +199,8 @@ def test_necklace_counts_match_matrix_oracle_to_trace_60():
 
 def test_primitive_vs_all_classes():
     # trace 7 contains exactly the squares of the trace-3 classes
-    prim = {c.word for c in modular_geodesics(norm_of_trace(12, 64), prec=64)}
+    prim_counts = Counter(c.trace for c in modular_geodesics(norm_of_trace(12, 64), prec=64))
     all_counts = necklace_counts_by_trace(12)
-    prim_counts = {}
-    for w in prim:
-        prim_counts[word_trace(w)] = prim_counts.get(word_trace(w), 0) + 1
     assert all_counts[7] - prim_counts[7] == prim_counts[3]
     for t in (3, 4, 5, 6, 8):
         assert all_counts[t] == prim_counts[t]
@@ -215,11 +218,13 @@ def test_selberg_log_z_decay_and_tail():
 
 
 def test_tail_needs_a_class_below_the_cutoff():
-    # N(3) = 6.85...: below it the tail formula has no meaning
+    # N(3) = 6.85...: below it the tail formula has no meaning, and a list
+    # source refuses such a cutoff as the modular source does
     src = ListGeodesicSource(entries=tuple(modular_geodesics(500, prec=128)))
     for cutoff in (0, 1, -1, 5):
-        assert src.classes(cutoff, 128) == []
-        with pytest.raises(CutoffError):
+        with pytest.raises(CutoffError, match="below the smallest norm"):
+            src.classes(cutoff, 128)
+        with pytest.raises(CutoffError, match="below the smallest norm"):
             selberg_log_z(src, 3, cutoff, 128)
     assert src._terms == {}
     assert selberg_log_z(src, 3, 7, 128).value != 0
@@ -528,8 +533,9 @@ def test_non_finite_and_negative_arguments_are_refused():
             selberg_log_z(src, mpc(s), 500, 128)
     assert src._terms == {}
     for cutoff in (-1, mpf("-1e10")):
-        assert ListGeodesicSource(
-            entries=tuple(modular_geodesics(500, prec=128))).classes(cutoff, 128) == []
+        with pytest.raises(CutoffError):
+            ListGeodesicSource(
+                entries=tuple(modular_geodesics(500, prec=128))).classes(cutoff, 128)
         with pytest.raises(CutoffError):
             ModularGeodesicSource().classes(cutoff, 128)
         for _ in range(2):  # a failed build stores no record
@@ -552,12 +558,13 @@ def test_cutoff_boundary_is_one_rule_for_both_sources():
             n = norm_of_trace(t, 200)
             for cutoff, included in ((n * (1 + mpf(2) ** -100), True),
                                      (n * (1 - mpf(2) ** -100), False)):
+                if t == 3 and not included:
+                    for source in (listed, ModularGeodesicSource()):
+                        with pytest.raises(CutoffError, match="below the smallest norm"):
+                            source.classes(cutoff, 128)
+                    continue
                 kept = listed.classes(cutoff, 128)
                 assert (t in {tr for tr, _ in kept}) == included
-                if not kept:
-                    with pytest.raises(CutoffError):
-                        ModularGeodesicSource().classes(cutoff, 128)
-                    continue
                 # one trivial character per trace, equal by value in both
                 assert ModularGeodesicSource().classes(cutoff, 128) == kept
                 assert max(tr for tr, _ in kept) == (t if included else t - 1)
@@ -580,14 +587,24 @@ def test_modular_phi_functional_equation():
 
 
 def test_modular_phi_poles():
+    # s = 1 is the only pole; where a Gamma factor has one, phi is its limit:
+    # 0 at s = 0, -1 at s = 1/2 and 1/phi(1 - s) at s = -n and 1/2 - n
+    model = ModularScattering()
     with pytest.raises(PoleError):
-        ModularScattering().phi(1, P)
-    with pytest.raises(PoleError):
-        ModularScattering().phi(mpf(1) / 2, P)
-    with pytest.raises(PoleError):
-        ModularScattering().phi(0, P)
-    with pytest.raises(PoleError):
-        ModularScattering().phi(-1, P)
+        model.phi(1, P)
+    with mp.workprec(P + 16):
+        half, eps = mpf(1) / 2, mpf(2) ** -(P // 2)
+        points = {half: mpf(-1), mpf(0): mpf(0)}
+        for n in (1, 2, 3):
+            points[mpf(-n)] = 1 / model.phi(1 + n, P)
+            points[half - n] = 1 / model.phi(half + n, P)
+        assert abs(points[mpf(-1)] - mpf("0.573208")) < 1e-6
+        assert abs(points[-half] - mpf("0.365381")) < 1e-6
+        for s, want in points.items():
+            assert abs(model.phi(s, P) - want) <= mpf(2) ** (4 - P) * abs(want)
+            # |phi'| < 4 at every one of these points
+            for off in (eps, -eps, mpc(0, eps), mpc(0, -eps)):
+                assert abs(model.phi(s + off, P) - want) < 4 * eps
 
 
 def test_scattering_constants():
@@ -767,6 +784,42 @@ def test_malformed_table_numbers_and_traces_are_domain_errors(tmp_path):
         with pytest.raises(DomainError, match="line 3: .*" + re.escape(reason)) as err:
             load_geodesic_table(path)
         assert str(path) in str(err.value)
+
+
+def test_character_traces_above_the_dimension_are_refused(tmp_path):
+    # the tail's dim factor and the Euler sum's rounding bound take
+    # |tr chi| <= dim; 2^-20 of it is left for rounding in the file
+    path = tmp_path / "geodesics.tsv"
+    head = "LR\t3\t6.854\t0.6,0.8000001\t-1,0\n"
+    for cells, dim in (("5,0\t25,0", 1), ("0.6,0.81\t1,0", 1), ("3,4\t5,0.5", 5)):
+        path.write_text(head + f"LLR\t4\t13.93\t{cells}\n")
+        bad = cells.split("\t")[dim > 1]
+        with pytest.raises(DomainError, match=re.escape(
+                f"{path} line 2: character cell {bad!r} exceeds the dimension {dim}")):
+            load_geodesic_table(path, dim=dim)
+    table = load_geodesic_table(path, dim=6)
+    assert [c.chi[1] for c in table.entries][1] == (mpc(3, 4), mpc(5, 0.5))
+
+
+def test_cutoff_refusals_have_one_site():
+    # every CutoffError comes from the one trace-bound rule, or from the
+    # exact rule's check that the cutoff is finite
+    sites = Counter()
+    for path in (Path(__file__).resolve().parent.parent / "src" / "szdet").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                child.parent = node
+        for node in ast.walk(tree):
+            exc = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+            exc = exc.func if isinstance(exc, ast.Call) else exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "CutoffError":
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = scope.parent
+                sites[path.name, getattr(scope, "name", None)] += 1
+    assert sites == {("zetas.py", "_trace_bound"): 2,
+                     ("zetas.py", "_max_trace_for_cutoff"): 1}
 
 
 def test_huge_cutoffs_are_refused_before_the_exact_trace_bound():
