@@ -38,6 +38,8 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from typing import Optional
 
 from mpmath import mp, mpc, mpf
@@ -70,6 +72,9 @@ MAX_CUSPS = 10_000
 # mn keeps 3d sines and roots of unity per elliptic order d, ~1 KB per unit
 # of d at 256 bits; one order of 10,000 runs mn in ~35 MB
 MAX_ORDER_SUM = 10_000
+# a document decimal becomes the fraction it writes, which expands
+# 10^|exponent|: that takes minutes at 10^8, microseconds at 10^4000
+MAX_DECIMAL_EXPONENT = 4000
 
 
 class UsageError(Exception):
@@ -149,11 +154,12 @@ def parse_orbifold_document(doc: dict, prec: int):
         raise DocumentError(f"{path}: {msg}")
 
     kinds = {"an object": dict, "a list": list, "an integer": int,
-             "a number": (int, float)}
+             "a number": (int, float, Fraction)}
 
     def typed(path, value, kind):
         if isinstance(value, bool) or not isinstance(value, kinds[kind]):
-            fail(path, f"expected {kind}, got {value!r}")
+            shown = str(value) if isinstance(value, Fraction) else repr(value)
+            fail(path, f"expected {kind}, got {shown}")
         return value
 
     def listed(path, value, kind):
@@ -222,14 +228,24 @@ def parse_orbifold_document(doc: dict, prec: int):
     return orb, scattering
 
 
+def _exact_decimal(text: str) -> Fraction:
+    """A JSON decimal as the fraction it writes, so 0.2 is 1/5 exactly."""
+    if abs(Decimal(text).as_tuple().exponent) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal {text[:30]} has an exponent beyond "
+                         f"{MAX_DECIMAL_EXPONENT}")
+    return Fraction(text)
+
+
 def _load_document(path: str, prec: int):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_exact_decimal)
     except OSError as exc:
         raise DocumentError(f"orbifold file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(f"orbifold file line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # the exponent bound, or Python's int digit limit
+        raise DocumentError(f"orbifold file: {exc}") from exc
     return parse_orbifold_document(doc, prec)
 
 

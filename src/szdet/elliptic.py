@@ -1,11 +1,11 @@
 """Integer combinatorics of the trivial zeros of the Selberg zeta function.
 
-Exact integer arithmetic gives the residue systems q_j(R,m), qt_j(R,m) and
-their wrap counts, the alpha/beta coefficients, the closed form of the
-root-of-unity sine sum and the floor-function formula for the trivial-zero
-multiplicities m_n (the authoritative value).  The spectral form of m_n,
-which `szdet mn` reports against it as a residual, sums the sine sum
-numerically; its one evaluation path, read by trig_sum_brute and
+Exact integer arithmetic gives the closed form of the root-of-unity sine sum
+and the floor count g_count, the one route to the alpha/beta coefficients
+(each wrap count is 1 - g_count) and to the floor-function formula for the
+trivial-zero multiplicities m_n (the authoritative value).  The spectral
+form of m_n, which `szdet mn` reports against it as a residual, sums the
+sine sum numerically; its one evaluation path, read by trig_sum_brute and
 m_n_spectral alike, is one entry per (exponent, order, residue n mod d,
 precision), built on demand in O(d) from the order's sines and roots of
 unity, which every exponent shares; entries, sines and roots are memoized
@@ -20,7 +20,6 @@ returned as-is and read downstream as pole orders of the gamma factor.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from mpmath import mp
 
@@ -29,55 +28,23 @@ from .numerics import DEFAULT_PREC, _rounded
 from .orbifold import OrbifoldData, vol_over_2pi
 
 
-@dataclass(frozen=True)
-class ResidueQuad:
-    """Residues of m +/- q modulo d together with their wrap counts.
-
-    q_m = m + q + d * k_shift and qt_m = m - q + d * kt_shift, both in
-    {0, ..., d-1}.  For 0 <= m < d the sum k_shift + kt_shift lies in
-    {-1, 0, 1} and follows the three-case table (+1 iff m < q and m+q < d;
-    -1 iff m >= q and m+q >= d; 0 otherwise); for m >= d it picks up an
-    extra -2 * (m // d).
-    """
-
-    q_m: int
-    qt_m: int
-    k_shift: int
-    kt_shift: int
-
-    @property
-    def k_total(self) -> int:
-        return self.k_shift + self.kt_shift
-
-
-def residues(m: int, q: int, d: int) -> ResidueQuad:
-    """The unique residues/shifts for (m, q, d) with 0 <= q < d, m >= 0."""
-    if d < 2:
-        raise DomainError("d must be >= 2")
-    if not 0 <= q <= d - 1:
-        raise DomainError(f"q = {q} outside [0, {d - 1}]")
-    if m < 0:
-        raise DomainError("m must be nonnegative")
-    q_m = (m + q) % d
-    qt_m = (m - q) % d
-    return ResidueQuad(
-        q_m=q_m,
-        qt_m=qt_m,
-        k_shift=(q_m - m - q) // d,
-        kt_shift=(qt_m - m + q) // d,
-    )
-
-
 def alpha(d: int, exponents, m: int) -> int:
-    """alpha(R, m) = sum_j (qt_j(R,m) + q_j(R,m)) >= 0."""
-    return sum(
-        (r := residues(m, q, d)).q_m + r.qt_m for q in exponents
-    )
+    """alpha(R, m) = sum_j ((m + q_j) mod d + (m - q_j) mod d) >= 0 over the
+    exponents q_j.  Each residue is m +/- q_j plus d times its wrap count, so
+    alpha = 2mh + d beta(R, m)."""
+    return 2 * m * len(exponents) + d * beta_coeff(d, exponents, m)
 
 
 def beta_coeff(d: int, exponents, m: int) -> int:
-    """beta(R, m) = sum_j k(R,m,j); satisfies alpha = 2mh + beta*d exactly."""
-    return sum(residues(m, q, d).k_total for q in exponents)
+    """beta(R, m) = sum_j k(R,m,j), the wrap counts of the residues of m +/- q_j:
+    k = ((m+q) mod d - m - q)/d + ((m-q) mod d - m + q)/d = 1 - g_count(m, q, d).
+
+    For 0 <= m < d each k lies in {-1, 0, 1} and follows the three-case
+    table (+1 iff m < q and m+q < d; -1 iff m >= q and m+q >= d; 0
+    otherwise); for m >= d it picks up an extra -2 * (m // d).  Invalid
+    (d, q, m) raise DomainError from g_count.
+    """
+    return sum(1 - g_count(m, q, d) for q in exponents)
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def count_multiples(n: int, q: int, d: int) -> int:
 
 
 def case_table_shift(m: int, q: int, d: int) -> int:
-    """The three-case value of k(R,m,j); the law residues() obeys for m < d."""
+    """The three-case value of k(R,m,j); the law beta_coeff obeys for m < d."""
     if m < q and m + q < d:
         return 1
     if m >= q and m + q >= d:

@@ -59,8 +59,9 @@ class PointValues:
     """The values at one point z that every product at z is built from.
 
     ``z`` is the memo key (z as to_scalar gives it at the context precision,
-    so an mpf or mpc z is kept as given); ``log_z`` is
-    the truncated Euler sum with its tail bound; ``log_z_plus`` is
+    so an mpf or mpc z is kept as given); ``log_z`` is the truncated Euler
+    sum with its tail bound, or a continuation provider's value with
+    tail_bound None; ``log_z_plus`` is
     log Z(z) - log G1(z) - k log Gamma(z - 1/2).  ``log_g1``, the gamma part
     of ``log_z_plus`` and ``phi`` are evaluated with prec + 16 bits.
     """
@@ -122,23 +123,21 @@ class SurfaceContext:
         given; raises off Re(z) > 1."""
         key = to_scalar(z, self.prec)
         if self._last_point is None or self._last_point.z != key:
-            self._last_point = self._evaluate(key)
+            with mp.workprec(self.prec + 16):
+                lz = selberg_log_z(self.source, key, self.cutoff_norm, self.prec)
+            self._last_point = _point_values(self, key, lz)
         return self._last_point
 
-    def _evaluate(self, key) -> PointValues:
-        wp = self.prec + 16
-        with mp.workprec(wp):
-            lz = selberg_log_z(self.source, key, self.cutoff_norm, self.prec)
-            lg1, gamma_part = _log_gamma_part(self, key, wp)
-            return PointValues(
-                key, lz, lg1, lz.value - gamma_part, self.scattering.phi(key, wp)
-            )
 
-
-def _log_gamma_part(ctx: SurfaceContext, w, prec: int):
-    """(log G1(w), log G1(w) + k log Gamma(w - 1/2)), each with prec bits."""
-    lg1 = log_g1(ctx.orb, w, prec)
-    return lg1, lg1 + ctx.k * log_gamma(w - mp.mpf(1) / 2, prec)
+def _point_values(ctx: SurfaceContext, u, log_z: ValueWithTail) -> PointValues:
+    """The PointValues at u from log Z(u), whichever route gave it: log G1,
+    the gamma part and phi are evaluated here, in that order, with prec + 16
+    bits."""
+    wp = ctx.prec + 16
+    with mp.workprec(wp):
+        lg1 = log_g1(ctx.orb, u, wp)
+        log_z_plus = log_z.value - (lg1 + ctx.k * log_gamma(u - mp.mpf(1) / 2, wp))
+        return PointValues(u, log_z, lg1, log_z_plus, ctx.scattering.phi(u, wp))
 
 
 def z_plus(ctx: SurfaceContext, z):
@@ -199,10 +198,10 @@ def _prefactor_det(ctx: SurfaceContext, w):
     )
 
 
-def _det_squared_at(ctx: SurfaceContext, w, log_z_plus, phi):
-    """det^2(w) from log Z+(w) and phi(w): the one det^2 expression, used by
-    det_squared and functional_symmetry_residual."""
-    return mp.exp(_prefactor_det(ctx, w) + 2 * log_z_plus) * phi
+def _det_squared_at(ctx: SurfaceContext, v: PointValues):
+    """det^2 at v.z from log Z+ and phi there: the one det^2 expression, used
+    by det_squared and functional_symmetry_residual."""
+    return mp.exp(_prefactor_det(ctx, v.z) + 2 * v.log_z_plus) * v.phi
 
 
 def d_plus(ctx: SurfaceContext, z):
@@ -225,7 +224,7 @@ def det_squared(ctx: SurfaceContext, z):
     """det^2(Delta - z(1-z)I) by the explicit formula; equals D+ D-."""
     v = ctx.point(z)
     with mp.workprec(ctx.prec + 16):
-        val = _det_squared_at(ctx, v.z, v.log_z_plus, v.phi)
+        val = _det_squared_at(ctx, v)
     return _rounded(ctx.prec, val)
 
 
@@ -292,9 +291,7 @@ def functional_symmetry_residual(ctx: SurfaceContext, z, provider: ContinuationP
         )
         sides = []
         for u in (w, 1 - w):
-            log_z = provider.log_selberg_z(u, wp)
-            _, gamma_part = _log_gamma_part(ctx, u, wp)
-            phi = ctx.scattering.phi(u, wp)
-            det = _det_squared_at(ctx, u, log_z - gamma_part, phi)
+            log_z = ValueWithTail(provider.log_selberg_z(u, wp), None)
+            det = _det_squared_at(ctx, _point_values(ctx, u, log_z))
             sides.append(mp.exp(-tau * u) * det)
     return _rounded(ctx.prec, sides[0] - sides[1])

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from szdet.elliptic import alpha
 from szdet.gfuncs import g1_coefficients
 from szdet.numerics import (
     DEFAULT_PREC,
@@ -46,7 +45,9 @@ def order_at(orb: OrbifoldData, n: int) -> int:
     Independent of the floor-formula multiplicity m_n, with which it must
     agree: the vol block contributes (h vol/2pi)(2n+1), each Gamma(s) power
     contributes -h(1-1/d_R), and the unique m with m = n (mod d_R) in each
-    fractional-argument product contributes +alpha(R, m)/d_R.
+    fractional-argument product contributes +alpha(R, m)/d_R, with alpha
+    taken from its residue definition sum_j ((m + q_j) mod d + (m - q_j) mod d)
+    rather than from szdet.elliptic, whose alpha comes from g_count as m_n does.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -54,7 +55,8 @@ def order_at(orb: OrbifoldData, n: int) -> int:
     total = hv * (2 * n + 1)
     for d, qs in orb.elliptic_classes():
         total -= orb.dim * Fraction(d - 1, d)
-        total += Fraction(alpha(d, qs, n % d), d)
+        m = n % d
+        total += Fraction(sum((m + q) % d + (m - q) % d for q in qs), d)
     assert total.denominator == 1, "divisor order must be an integer"
     return int(total)
 

@@ -326,6 +326,41 @@ def test_wrong_json_type_is_a_document_error(tmp_path, capsys, change, path):
     assert capsys.readouterr().err.startswith(f"error: {path}: expected ")
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"schema": 2}, "schema: unsupported schema version 2"),
+    ({"cusps": cli.MAX_CUSPS + 1}, "cusps: 10001 cusps exceed the limit"),
+    ({"elliptic": [{"order": 2}]}, "elliptic[0]: needs 'order' and 'exponents'"),
+    ({"cusp_data": [{"angles": []}]}, "cusp_data[0]: needs 'fixed_dim'"),
+    ({"scattering": {"model": "generic", "file": 3}}, "scattering.file: generic"),
+    ({"scattering": {"model": "hyperbolic"}}, "scattering.model: unknown model"),
+    # a decimal is read as the exact fraction it writes
+    ({"elliptic": _with_elliptic0(exponents=[0.5])},
+     "elliptic[0].exponents[0]: expected an integer, got 1/2\n"),
+])
+def test_document_refusals_name_their_field(tmp_path, capsys, change, message):
+    doc_path = tmp_path / "refused.json"
+    doc_path.write_text(json.dumps(dict(MODULAR_DOC, **change)))
+    rc = cli.main(["mn", "--orbifold", str(doc_path), "--n-max", "1", "--prec", "64"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("text, prefix", [
+    (None, "error: orbifold file: "),  # no such file
+    ('{"schema": 1,', "error: orbifold file line 1: "),
+    # refused before 10^999999999 is expanded, which would take hours
+    ('{"cusp_data": [{"angles": [1e-999999999]}]}', "error: orbifold file: decimal"),
+    # past Python's 4,300-digit limit on int conversion
+    ('{"genus": ' + "1" * 5000 + "}", "error: orbifold file: Exceeds the limit"),
+])
+def test_unreadable_document_exits_2(tmp_path, capsys, text, prefix):
+    path = tmp_path / "doc.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["mn", "--orbifold", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(prefix)
+
+
 def test_modular_scattering_requires_modular_signature(tmp_path, capsys):
     doc = dict(TORUS_DOC)
     doc["scattering"] = {"model": "modular"}

@@ -14,7 +14,6 @@ from szdet.elliptic import (
     g_count,
     m_n_floor,
     m_n_spectral,
-    residues,
     trig_sum_brute,
     trig_sum_closed,
 )
@@ -35,22 +34,22 @@ P = 192
 
 
 def test_residue_examples():
-    r = residues(0, 1, 3)
-    assert (r.q_m, r.qt_m, r.k_total) == (1, 2, 1)
-    r = residues(0, 0, 5)
-    assert (r.q_m, r.qt_m, r.k_shift, r.kt_shift) == (0, 0, 0, 0)
-    r = residues(4, 3, 5)
-    assert (r.q_m, r.k_shift, r.qt_m, r.kt_shift, r.k_total) == (2, -1, 1, 0, -1)
+    # (m, q, d) = (0, 1, 3): residues 1 and 2, wrap count +1
+    assert alpha(3, (1,), 0) == 1 + 2 and beta_coeff(3, (1,), 0) == 1
+    assert alpha(5, (0,), 0) == 0 and beta_coeff(5, (0,), 0) == 0
+    # (4, 3, 5): residues 2 and 1, wraps -1 and 0
+    assert alpha(5, (3,), 4) == 2 + 1 and beta_coeff(5, (3,), 4) == -1 + 0
 
 
 def test_residues_define_the_residues():
+    # alpha and beta_coeff (from g_count) against the residue definitions
     for d in range(2, 15):
         for q in range(d):
             for m in range(0, 3 * d):
-                r = residues(m, q, d)
-                assert r.q_m == m + q + d * r.k_shift
-                assert r.qt_m == m - q + d * r.kt_shift
-                assert 0 <= r.q_m < d and 0 <= r.qt_m < d
+                assert alpha(d, (q,), m) == (m + q) % d + (m - q) % d
+                assert beta_coeff(d, (q,), m) == (
+                    ((m + q) % d - m - q) // d + ((m - q) % d - m + q) // d
+                )
 
 
 def test_case_table_exhaustive():
@@ -58,16 +57,17 @@ def test_case_table_exhaustive():
     for d in range(2, 21):
         for q in range(d):
             for m in range(d):
-                assert residues(m, q, d).k_total == case_table_shift(m, q, d)
+                assert beta_coeff(d, (q,), m) == case_table_shift(m, q, d)
 
 
 def test_residue_domain_errors():
-    with pytest.raises(DomainError):
-        residues(0, 3, 3)
-    with pytest.raises(DomainError):
-        residues(-1, 0, 3)
-    with pytest.raises(DomainError):
-        residues(0, 0, 1)
+    for f in (alpha, beta_coeff):
+        with pytest.raises(DomainError):
+            f(3, (3,), 0)
+        with pytest.raises(DomainError):
+            f(3, (0,), -1)
+        with pytest.raises(DomainError):
+            f(1, (0,), 0)
 
 
 @given(st.integers(2, 16), st.integers(0, 60), st.integers(1, 3),
@@ -75,6 +75,7 @@ def test_residue_domain_errors():
 def test_alpha_beta_identity(d, m, h, data):
     qs = tuple(data.draw(st.integers(0, d - 1)) for _ in range(h))
     assert alpha(d, qs, m) == 2 * m * h + beta_coeff(d, qs, m) * d
+    assert alpha(d, qs, m) == sum((m + q) % d + (m - q) % d for q in qs)
     assert alpha(d, qs, m) >= 0
 
 
@@ -231,6 +232,12 @@ def test_m_n_examples():
     assert m_n_floor(orb, 0) == -1  # pole of the gamma factor, kept as-is
     torus = OrbifoldData(Signature(1, 1), trivial_rep(Signature(1, 1)))
     assert m_n_floor(torus, 2) == 5  # h(2g-2+c)(2n+1)
+
+
+@pytest.mark.parametrize("m_n", [m_n_floor, m_n_spectral])
+def test_negative_n_is_a_domain_error(m_n):
+    with pytest.raises(DomainError, match="n must be nonnegative"):
+        m_n(modular_orbifold(), -1)
 
 
 def test_m_n_dual_formulas_random(orbifold_pool):

@@ -113,3 +113,19 @@ def test_eager_validation():
         Signature(0, 0, (2,))
     with pytest.raises(SignatureError):
         Signature(0, 1, (1,))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Signature(-1, 1), "genus must be nonnegative"),
+    (lambda: RepresentationData(0, cusp_data=()), "dimension must be positive"),
+    (lambda: RepresentationData(2, cusp_data=(CuspData(0, (0.5,)),)),
+     "exactly h - k_j angles"),
+    (lambda: OrbifoldData(modular_signature(),
+                          RepresentationData(2, ((0,), (0, 0)), (CuspData(2),))),
+     "must have length h = 2"),
+    (lambda: OrbifoldData(modular_signature(), RepresentationData(1, ((0,), (0,)), ())),
+     "need one CuspData per cusp"),
+])
+def test_invalid_data_is_refused(build, match):
+    with pytest.raises(SignatureError, match=match):
+        build()

@@ -355,7 +355,8 @@ def test_point_memo_keeps_the_last_point(monkeypatch):
         return ValueWithTail(mpf(0), mpf(0))
 
     monkeypatch.setattr(regdet, "selberg_log_z", log_z)
-    monkeypatch.setattr(regdet, "_log_gamma_part", lambda ctx, w, prec: (mpf(0), mpf(0)))
+    monkeypatch.setattr(regdet, "log_g1", lambda orb, w, prec: mpf(0))
+    monkeypatch.setattr(regdet, "log_gamma", lambda w, prec: mpf(0))
     monkeypatch.setattr(ModularScattering, "phi", lambda self, s, prec: mpf(1))
     ctx = _small_modular_ctx()
     first, second = mpc(2, 1), mpc("2.5", 1)

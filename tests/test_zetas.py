@@ -864,6 +864,21 @@ def test_malformed_scattering_file_is_a_domain_error(tmp_path, text, reason):
         load_generic_scattering(path)
 
 
+def _load_comment_only_file(tmp_path):
+    path = tmp_path / "scattering.dat"
+    path.write_text("# no data\n\n")
+    return load_generic_scattering(path)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda tmp_path: norm_of_trace(2), "hyperbolic classes have trace >= 3"),
+    (_load_comment_only_file, "empty scattering data file"),
+])
+def test_domain_refusals(tmp_path, call, match):
+    with pytest.raises(DomainError, match=match):
+        call(tmp_path)
+
+
 def test_generic_scattering_parsed_at_working_precision(tmp_path):
     path = tmp_path / "scattering.dat"
     path.write_text("1 0.1 0.2\n1.5 0.3 0\n")
