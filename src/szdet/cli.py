@@ -7,8 +7,8 @@ Subcommands
 
 Flags: --prec <bits>, at least 53 (default 256 for mn and detsq, 192 for
 verify); mn and detsq take --format json|csv (default json), and detsq takes
---cutoff-norm <real> (default 1e6).  detsq reads --z at the working
-precision, --prec plus 16 bits.
+--cutoff-norm <real> (default 1e6).  detsq reads --z and --cutoff-norm at
+the working precision, --prec plus 16 bits.
 
 Exit codes: 0 ok, 2 domain error, 64 usage, 70 internal.
 
@@ -264,16 +264,33 @@ def cmd_mn(orb: OrbifoldData, n_max: int, prec: int, fmt: str) -> str:
     return emit_table(rows, fmt, {"command": "mn", "precision_bits": prec})
 
 
-def _parse_z(text: str, prec: int):
-    """--z read at the command's working precision, prec + 16 bits."""
+def _reals(text: str, prec: int) -> list:
+    """The comma-separated reals of an option, read at the command's working
+    precision, prec + 16 bits, so that a decimal is not first rounded to a
+    double; [] when some part does not parse."""
     with mp.workprec(prec + 16):
         try:
-            parts = [mpf(p) for p in text.split(",")]
-        except ValueError:
-            parts = []
-        if 1 <= len(parts) <= 2 and all(mp.isfinite(p) for p in parts):
+            return [mpf(p) for p in text.split(",")]
+        except (ValueError, ZeroDivisionError):  # mpf reads "1/0" as a ratio
+            return []
+
+
+def _parse_z(text: str, prec: int):
+    """--z, one or two finite reals at the working precision."""
+    parts = _reals(text, prec)
+    if 1 <= len(parts) <= 2 and all(mp.isfinite(p) for p in parts):
+        with mp.workprec(prec + 16):
             return parts[0] if len(parts) == 1 else mpc(*parts)
     raise UsageError(f"cannot parse --z value {text!r}; use finite RE or RE,IM")
+
+
+def _parse_cutoff(text: str, prec: int):
+    """--cutoff-norm, one real at the working precision; the Euler sum
+    refuses a negative or non-finite one."""
+    parts = _reals(text, prec)
+    if len(parts) == 1:
+        return parts[0]
+    raise UsageError(f"cannot parse --cutoff-norm value {text!r}; use one real")
 
 
 def cmd_detsq(orb, scattering, z, prec: int, cutoff, fmt: str) -> str:
@@ -281,7 +298,9 @@ def cmd_detsq(orb, scattering, z, prec: int, cutoff, fmt: str) -> str:
         raise DocumentError(
             "scattering: detsq needs a scattering model in the document"
         )
-    if orb != modular_orbifold(orb.dim):
+    # the signature first: a modular document lists rep_dim exponents per
+    # elliptic order, so only then is the trivial representation cheap to build
+    if orb.signature != modular_signature() or orb != modular_orbifold(orb.dim):
         raise DocumentError(
             "geodesics: detsq enumerates geodesics only for the modular group "
             "(0;1;2,3) with a trivial representation"
@@ -358,7 +377,7 @@ def build_parser() -> _Parser:
     dq = sub.add_parser("detsq", help="regularized determinant at z")
     common(dq)
     dq.add_argument("--z", required=True, help="evaluation point RE or RE,IM")
-    dq.add_argument("--cutoff-norm", type=float, default=1e6,
+    dq.add_argument("--cutoff-norm", default="1e6",
                     help="Euler-product norm cutoff (default 1e6)")
 
     vf = sub.add_parser("verify", help="run invariant suites")
@@ -384,9 +403,9 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "detsq":
             z = _parse_z(args.z, args.prec)
+            cutoff = _parse_cutoff(args.cutoff_norm, args.prec)
             sys.stdout.write(
-                cmd_detsq(orb, scattering, z, args.prec, args.cutoff_norm,
-                          args.format)
+                cmd_detsq(orb, scattering, z, args.prec, cutoff, args.format)
             )
             return EXIT_OK
         raise UsageError(f"unknown command {args.command!r}")

@@ -49,9 +49,5 @@ class CutoffError(SZDetError):
     """Norm cutoff below N(3) or past the traces a geodesic source counts."""
 
 
-class CutError(SZDetError):
-    """Some shifted zero z - y_k fell on the cut (-inf, 0]."""
-
-
 class ProviderDomainError(SZDetError):
     """A continuation provider cannot evaluate at the requested point."""

@@ -2,8 +2,7 @@
 
 Scalars are mpmath ``mpf``/``mpc`` values; every public function takes the
 working precision in bits (``prec``, default 256) and returns a value rounded
-to that precision, having computed with guard bits internally.  ``plog`` is
-the principal logarithm, arg in (-pi, pi].
+to that precision, having computed with guard bits internally.
 
 log_gamma and log_barnes_g are not principal logarithms of Gamma and G: they
 are the analytic continuations of the real logarithms on the positive real
@@ -24,7 +23,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .errors import BranchError, DomainError, PoleError, PrecisionError, ZeroError
+from .errors import DomainError, PoleError, PrecisionError, ZeroError
 
 DEFAULT_PREC = 256
 _GUARD = 32
@@ -74,13 +73,6 @@ def _nonpositive_integer(z):
     if x > 0 or x != mp.floor(x):
         return None
     return int(-x)
-
-
-def plog(z):
-    """Principal log; BranchError exactly on the cut (-inf, 0]."""
-    if _is_real(z) and _real(z) <= 0:
-        raise BranchError(f"log argument {z} lies on the cut (-inf, 0]")
-    return mp.log(z)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +157,13 @@ def log_barnes_g(z, prec: int = DEFAULT_PREC):
             base = log_gamma(s + 1, prec + _GUARD)
             corr = shift * base
             for i in range(shift - 1):
-                corr += (shift - 1 - i) * plog(s + 1 + i)
+                corr += (shift - 1 - i) * mp.log(s + 1 + i)
+        # w is off (-inf, 0], so s + 1 + i (i >= 0) and u (Re u >= 20) lie
+        # right of it or off the real axis: mp.log needs no cut check here
         u = s + shift
         main = (
-            u * u / 2 * (plog(u) - mp.mpf(3) / 2)
-            - plog(u) / 12
+            u * u / 2 * (mp.log(u) - mp.mpf(3) / 2)
+            - mp.log(u) / 12
             + u / 2 * mp.log(2 * mp.pi)
             + zeta_prime_minus1(prec + _GUARD)
             + _barnes_tail(u, prec + _GUARD)

@@ -2,28 +2,26 @@
 the scripts compare the library against.
 
 Each function here computes a quantity the production modules also compute,
-by a different route (brute-force enumeration, direct iteration, an explicit
-zero list), or keeps a rejected variant of a closed form so that a fit can
+by a different route (brute-force enumeration, direct iteration), or keeps a rejected variant of a closed form so that a fit can
 tell the two apart.  They live apart from the production path so that each
 quantity there has one evaluation path.  This module may import the
 production modules; no production module (cli, elliptic, gfuncs, numerics,
-orbifold, regdet, zetas) may import it.
+orbifold, regdet, zetas) may import it.  Oracles that only the tests run
+live in the tests (tests/g1_oracles.py, tests/superzeta_oracles.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional
 
 from mpmath import mp
 
-from .errors import ConvergenceError, CutError, DomainError
-from .gfuncs import ExpansionCoefficients, _beta_table, g1_coefficients
-from .numerics import DEFAULT_PREC, _is_real, _real, _rounded, plog, to_scalar
+from .errors import DomainError
+from .gfuncs import _beta_table, g1_coefficients
+from .numerics import DEFAULT_PREC, _rounded
 from .orbifold import OrbifoldData, vol_over_2pi
-from .zetas import ValueWithTail, _modular_walk
+from .zetas import _modular_walk
 
 
 # ---------------------------------------------------------------------------
@@ -114,74 +112,6 @@ def necklace_counts_by_trace(tmax: int) -> dict[int, int]:
             counts[tr] = counts.get(tr, 0) + 1
             prev, tr = tr, t * tr - prev
     return counts
-
-
-# ---------------------------------------------------------------------------
-# Generic superzeta engine over an explicit zero list (the toy Voros engine)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SuperzetaInput:
-    """Explicit zeros y_k (with multiplicity), expansion coefficients of the
-    Hadamard-normalized log Delta_f, and an evaluator for Delta_f itself."""
-
-    zeros: tuple
-    coeffs: ExpansionCoefficients
-    evaluator: Callable
-
-
-def superzeta_direct(
-    inp: SuperzetaInput, s, z, cutoff: Optional[int] = None, prec: int = DEFAULT_PREC
-) -> ValueWithTail:
-    """sum_k (z - y_k)^(-s) over the listed zeros, with an integral tail bound.
-
-    Convergent for Re(s) > 2 (order-two zero counting); the tail estimate
-    assumes the zeros keep roughly their trailing mean spacing.
-    """
-    wp = prec + 16
-    with mp.workprec(wp):
-        ss = to_scalar(s, wp)
-        w = to_scalar(z, wp)
-        if _real(ss) <= 2:
-            raise ConvergenceError("superzeta direct sum requires Re(s) > 2")
-        zeros = inp.zeros[:cutoff] if cutoff is not None else inp.zeros
-        total = mp.mpf(0)
-        for y in zeros:
-            d = w - to_scalar(y, wp)
-            if _is_real(d) and _real(d) <= 0:
-                raise CutError(f"z - y_k = {d} lies on the cut (-inf, 0]")
-            total += mp.exp(-ss * plog(d))
-        if zeros:
-            sigma = _real(ss)
-            r = abs(w - to_scalar(zeros[-1], wp))
-            tailk = min(len(zeros) - 1, 5)
-            gap = (
-                abs(to_scalar(zeros[-1], wp) - to_scalar(zeros[-1 - tailk], wp)) / tailk
-                if tailk
-                else mp.mpf(1)
-            )
-            gap = gap if gap > 0 else mp.mpf(1)
-            tail = 2 * r ** (1 - sigma) / ((sigma - 1) * gap)
-        else:
-            tail = mp.mpf(0)
-    return ValueWithTail(_rounded(prec, total), _rounded(prec, tail))
-
-
-def voros_product(inp: SuperzetaInput, z, prec: int = DEFAULT_PREC):
-    """D_f(z) = exp(-(b1 z + b0)) Delta_f(z).
-
-    Equals exp(-d/ds SZ_f(s, z)|_{s=0}) whenever log Delta_f satisfies the
-    order-two asymptotic template with the supplied coefficients.
-    """
-    with mp.workprec(prec + 16):
-        w = to_scalar(z, prec + 16)
-        expo = (
-            to_scalar(inp.coeffs.b1, prec + 16) * w
-            + to_scalar(inp.coeffs.b0, prec + 16)
-        )
-        val = mp.exp(-expo) * inp.evaluator(w, prec + 16)
-    return _rounded(prec, val)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ recovery still test the b1, c1, c2 and k terms.  Values elsewhere require
 a caller-supplied continuation provider of log Z (this module never
 fabricates analytic continuation it cannot certify); phi on either side is
 the scattering model's, which refuses where it cannot evaluate.  The
-generic "toy" Voros engine over an explicit zero list is an oracle and
-lives in szdet.oracles.
+generic "toy" Voros engine over an explicit zero list is a test oracle
+and lives in tests/superzeta_oracles.py.
 """
 
 from __future__ import annotations

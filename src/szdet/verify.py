@@ -7,13 +7,14 @@ acceptance runs live in the pytest suite.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from . import elliptic, gfuncs, numerics, oracles, orbifold, regdet, zetas
+from . import elliptic, numerics, oracles, orbifold, regdet, zetas
 from .errors import ProviderDomainError, SZDetError
 
 
@@ -235,34 +236,34 @@ def suite_regdet(prec: int) -> list[CheckResult]:
     out.append(_check("scattering determinant recovery", worst < tol,
                       f"worst relative residual {mp.nstr(worst, 3)}"))
 
-    pp = regdet.superzeta_zero_poly(ctx, +1)
-    pm = regdet.superzeta_zero_poly(ctx, -1)
-    bad = sum((pp[0] != pm[0], pp[1] != pm[1], pp[2] - pm[2] != Fraction(ctx.k, 2),
-               pp[0] != -ctx.orb.dim * orbifold.vol_over_2pi(ctx.orb.signature)))
-    out.append(_check("superzeta polynomials at s = 0 (exact)", bad == 0,
-                      f"{bad} mismatches"))
-
-    with mp.workprec(prec + 16):
-        coeffs = gfuncs.ExpansionCoefficients(
-            a2t=Fraction(0), a1t=Fraction(-1), b1=mpf(0),
-            a0t=Fraction(1, 2), b0=-mp.log(2 * mp.pi) / 2,
+    # m_(n+L) - m_n = 2L h vol/2pi, L the lcm of the elliptic orders, gives
+    # the z^2 coefficient -h vol/2pi of both polynomials from the floor count
+    rng = random.Random(20240917)
+    bad = 0
+    for _ in range(40):
+        orb_r = random_orbifold(rng)
+        ctx_r = regdet.SurfaceContext(
+            orb_r, zetas.ModularGeodesicSource(dim=orb_r.dim),
+            zetas.GenericScattering(orbifold.degree_of_singularity(orb_r.rep)),
+            prec=prec,
         )
-    inp = oracles.SuperzetaInput(
-        zeros=tuple(-k for k in range(200)), coeffs=coeffs,
-        evaluator=lambda w, p: mp.exp(-numerics.log_gamma(w, p)),
-    )
+        period = math.lcm(*orb_r.signature.elliptic_orders)
+        n = rng.randint(0, 50)
+        c2 = -Fraction(elliptic.m_n_floor(orb_r, n + period)
+                       - elliptic.m_n_floor(orb_r, n), 2 * period)
+        bad += sum(regdet.superzeta_zero_poly(ctx_r, sign)[0] != c2 for sign in (+1, -1))
+    out.append(_check("superzeta polynomials at s = 0: z^2 term from m_n growth "
+                      "(40 random orbifolds)", bad == 0, f"{bad} mismatches"))
+
     with mp.workprec(prec + 8):
-        worst = mpf(0)
-        for zv in (mpf("0.8"), mpf(2), mpf("4.5")):
-            v = oracles.voros_product(inp, zv, prec)
-            # the evaluator makes v equal the Lerch value by construction, so
-            # exp(-zeta_H'(0, z)) from mpmath is the route that can disagree
-            lerch = mp.sqrt(2 * mp.pi) * mp.exp(-numerics.log_gamma(zv, prec))
-            via_ds0 = mp.exp(-mp.zeta(0, zv, 1))
-            worst = max(worst, abs(v - lerch), abs(v - via_ds0))
-    out.append(_check("Voros product vs Lerch closed form",
+        worst = max(
+            abs(mp.sqrt(2 * mp.pi) * mp.exp(-numerics.log_gamma(zv, prec))
+                - mp.exp(-mp.zeta(0, zv, 1)))
+            for zv in (mpf("0.8"), mpf(2), mpf("4.5"))
+        )
+    out.append(_check("Lerch's formula sqrt(2 pi) / Gamma(z) = exp(-zeta_H'(0, z))",
                       worst < mpf(10) ** (-int(prec * 0.2)),
-                      f"worst |v - lerch|, |v - exp(-zeta_H'(0, z))| = "
+                      f"worst |sqrt(2 pi) exp(-log_gamma(z)) - exp(-zeta_H'(0, z))| = "
                       f"{mp.nstr(worst, 3)}"))
 
     try:

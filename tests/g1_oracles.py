@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
+from superzeta_oracles import plog
 from szdet.gfuncs import g1_coefficients
 from szdet.numerics import (
     DEFAULT_PREC,
@@ -17,7 +18,6 @@ from szdet.numerics import (
     frac_to_mpf,
     log_barnes_g,
     log_gamma,
-    plog,
 )
 from szdet.orbifold import OrbifoldData, vol_over_2pi
 

@@ -16,6 +16,7 @@ from g1_oracles import (
     order_g_qd_at,
     order_tilde_g1_at,
 )
+from superzeta_oracles import SuperzetaInput, voros_product
 from szdet.elliptic import (
     g_count,
     m_n_floor,
@@ -39,12 +40,10 @@ from szdet.orbifold import (
     modular_signature,
 )
 from szdet.oracles import (
-    SuperzetaInput,
     b0_candidates,
     count_multiples,
     matrix_class_counts,
     necklace_counts_by_trace,
-    voros_product,
 )
 from szdet.regdet import (
     EulerProductProvider,

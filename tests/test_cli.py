@@ -258,9 +258,27 @@ def test_verify_corrupted_bernoulli_cache(monkeypatch, capsys):
 def test_usage_errors(modular_doc, capsys):
     assert cli.main(["mn"]) == 64  # missing --orbifold
     assert cli.main(["detsq", "--orbifold", modular_doc, "--z", "abc"]) == 64
-    for z in ("nan", "inf", "inf,1", "3,nan", "3,1,2"):
+    for z in ("nan", "inf", "inf,1", "3,nan", "3,1,2", "1/0"):
         assert cli.main(["detsq", "--orbifold", modular_doc, "--z", z]) == 64
+    for cutoff in ("abc", "", "500,600", "1/0"):
+        assert cli.main(["detsq", "--orbifold", modular_doc, "--z", "3",
+                         "--cutoff-norm", cutoff]) == 64
     assert cli.main(["mn", "--orbifold", modular_doc, "--n-max", "-2"]) == 64
+
+
+def test_detsq_reads_the_cutoff_at_the_working_precision(modular_doc, capsys):
+    # just below N(100); read as a double it rounded up to N(100) or more and
+    # the trace-100 classes entered the sum
+    text = "9997.99989997999499859858"
+    assert zetas._max_trace_for_cutoff(float(text), 128, 3000) == 100
+    assert cli.main(["detsq", "--orbifold", modular_doc, "--z", "3",
+                     "--prec", "128", "--cutoff-norm", text]) == 0
+    row = _rows(capsys.readouterr().out)["selberg_z_truncated"]
+    with mp.workprec(144):
+        cutoff = mpf(text)
+        assert zetas._max_trace_for_cutoff(cutoff, 128, 3000) == 99
+        want = mp.exp(selberg_log_z(ModularGeodesicSource(), 3, cutoff, 128).value)
+        assert abs(mpf(row["re"]) - want) < mpf(2) ** -120 * want
 
 
 def test_detsq_refuses_negative_and_non_finite_cutoffs(modular_doc, capsys):
@@ -401,6 +419,23 @@ def test_detsq_refuses_non_modular_geodesics(tmp_path, capsys):
     assert "geodesics" in capsys.readouterr().err
 
 
+def test_detsq_refuses_a_huge_representation_before_building_it(tmp_path, capsys):
+    # the comparison with the modular orbifold used to build its trivial
+    # representation, rep_dim zeros per elliptic order, whatever the
+    # signature: a 150-byte document asked for 10^12 of them and exited 70
+    terms = tmp_path / "terms.dat"
+    terms.write_text("1 0.3 -0.2\n")
+    doc = {"genus": 1, "cusps": 1, "rep_dim": 10**12,
+           "scattering": {"model": "generic", "file": str(terms)}}
+    path = tmp_path / "huge_rep.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["detsq", "--orbifold", str(path), "--z", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: geodesics: ")
+    assert cli.main(["mn", "--orbifold", str(path), "--n-max", "2"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    assert [int(mpf(rows[f"m_{n}"]["re"])) for n in range(3)] == [10**12, 3 * 10**12, 5 * 10**12]
+
+
 def test_malformed_scattering_header_is_a_document_error(tmp_path, capsys):
     terms = tmp_path / "terms.dat"
     terms.write_text("1 0\n")
@@ -498,7 +533,8 @@ def test_production_modules_load_no_oracles():
         "import szdet.cli, szdet.regdet, szdet.zetas, szdet.gfuncs\n"
         "import szdet.elliptic, szdet.orbifold, szdet.numerics\n"
         "print(sorted(m for m in sys.modules\n"
-        "             if m in ('szdet.oracles', 'szdet.verify', 'g1_oracles')))\n"
+        "             if m in ('szdet.oracles', 'szdet.verify', 'g1_oracles',\n"
+        "                      'superzeta_oracles')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,

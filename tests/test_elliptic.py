@@ -240,6 +240,13 @@ def test_negative_n_is_a_domain_error(m_n):
         m_n(modular_orbifold(), -1)
 
 
+@pytest.mark.parametrize("trig_sum", [trig_sum_closed, trig_sum_brute])
+@pytest.mark.parametrize("n, q, d", [(0, 0, 1), (3, 3, 3), (3, -1, 3), (-1, 0, 3)])
+def test_trig_sums_refuse_outside_their_domain(trig_sum, n, q, d):
+    with pytest.raises(DomainError, match="need d >= 2"):
+        trig_sum(n, q, d)
+
+
 def test_m_n_dual_formulas_random(orbifold_pool):
     rng = random.Random(12)
     tol = 10 * mpf(2) ** (-P // 2)

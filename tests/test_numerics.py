@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from szdet.numerics import (
     log_barnes_g,
     log_gamma,
     riemann_zeta,
+    to_scalar,
     zeta_prime_minus1,
 )
 
@@ -43,6 +46,22 @@ def test_log_gamma_pole_and_cut():
         log_gamma(-3, P)
     with pytest.raises(DomainError):
         log_gamma(mpf("-2.5"), P)
+
+
+@pytest.mark.parametrize("x", [mpf("-2.5"), mpf("-0.001"), mpf(-10) ** 9 - mpf(1) / 3])
+def test_log_barnes_g_refuses_the_negative_real_axis(x):
+    with pytest.raises(DomainError, match="lies on the cut"):
+        log_barnes_g(x, P)
+
+
+@pytest.mark.parametrize("prec", [64, 300])
+def test_to_scalar_reads_a_fraction_at_the_asked_precision(prec):
+    # mp.mpmathify(Fraction(1, 3)) at 300 bits lies 7.4e-91 relative away
+    # from 1/3; to_scalar divides the exact numerator and denominator
+    for fr in (Fraction(1, 3), Fraction(-7, 10), Fraction(2**200 + 1, 3**90)):
+        with mp.workprec(prec):
+            want = mpf(fr.numerator) / fr.denominator
+        assert to_scalar(fr, prec) == want
 
 
 @given(

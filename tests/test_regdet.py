@@ -1,13 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpc, mpf
 
+from superzeta_oracles import SuperzetaInput, superzeta_direct, voros_product
+from szdet.elliptic import m_n_floor
 from szdet.errors import (
     BranchError,
     ConvergenceError,
-    CutError,
     ProviderDomainError,
     SignatureError,
     SingularityError,
@@ -20,11 +22,11 @@ from szdet.orbifold import (
     RepresentationData,
     Signature,
     a_chi,
+    degree_of_singularity,
     modular_orbifold,
     modular_signature,
     trivial_rep,
 )
-from szdet.oracles import SuperzetaInput, superzeta_direct, voros_product
 from szdet import regdet
 from szdet.regdet import (
     EulerProductProvider,
@@ -199,6 +201,24 @@ def test_superzeta_zero_polynomials(modular_ctx):
         assert abs(v - expect) < mpf(2) ** (8 - P)
 
 
+def test_superzeta_z2_coefficient_is_the_growth_of_m_n(orbifold_pool):
+    # m_(n+L) - m_n = 2L h vol/2pi, L the lcm of the elliptic orders, gives
+    # c2 = -h vol/2pi from the floor count rather than from a2~
+    for orb in orbifold_pool:
+        ctx = SurfaceContext(orb, ModularGeodesicSource(dim=orb.dim),
+                             GenericScattering(degree_of_singularity(orb.rep)), prec=64)
+        period = math.lcm(*orb.signature.elliptic_orders)
+        for n in range(0, 51, 10):
+            c2 = -Fraction(m_n_floor(orb, n + period) - m_n_floor(orb, n), 2 * period)
+            assert superzeta_zero_poly(ctx, +1)[0] == superzeta_zero_poly(ctx, -1)[0] == c2
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2])
+def test_superzeta_zero_poly_refuses_other_signs(modular_ctx, sign):
+    with pytest.raises(ValueError, match="sign must be"):
+        superzeta_zero_poly(modular_ctx, sign)
+
+
 def test_superzeta_zero_no_elliptic():
     sig = Signature(1, 1)
     ctx = SurfaceContext(
@@ -222,7 +242,7 @@ def test_superzeta_direct_hurwitz_oracle():
             assert abs(got.value - want) < got.tail_bound
     with pytest.raises(ConvergenceError):
         superzeta_direct(inp, 2, mpf("1.5"), prec=P)
-    with pytest.raises(CutError):
+    with pytest.raises(BranchError):
         superzeta_direct(inp, 3, mpf(-4), prec=P)
 
 

@@ -873,6 +873,7 @@ def _load_comment_only_file(tmp_path):
 @pytest.mark.parametrize("call, match", [
     (lambda tmp_path: norm_of_trace(2), "hyperbolic classes have trace >= 3"),
     (_load_comment_only_file, "empty scattering data file"),
+    (lambda tmp_path: chi_trace(("principal", 1), 1, 3), "unknown chi kind"),
 ])
 def test_domain_refusals(tmp_path, call, match):
     with pytest.raises(DomainError, match=match):
