@@ -132,9 +132,9 @@ def log_g1(orb: OrbifoldData, s, prec: int = DEFAULT_PREC):
         z = to_scalar(s, prec + 16)
         n_near = int(mp.nint(-_real(z)))
         if n_near >= 0 and abs(z + n_near) < mp.mpf(2) ** (-(prec // 4)):
-            if m_n_floor(orb, n_near) != 0:
+            if order := m_n_floor(orb, n_near):
                 raise SingularityError(
-                    f"s = {s} within tolerance of the order-{m_n_floor(orb, n_near)} "
+                    f"s = {s} within tolerance of the order-{order} "
                     f"divisor point -{n_near} of G1"
                 )
         h = orb.dim
@@ -147,11 +147,16 @@ def log_g1(orb: OrbifoldData, s, prec: int = DEFAULT_PREC):
             + 2 * log_barnes_g(z + 1, prec + 16)
             - lg_s
         )
+        # classes of one order d share the arguments (z+m)/d: one log Gamma
+        # per (d, m), weighted by alpha summed over those classes
+        by_order: dict[int, list] = {}
         for d, qs in orb.elliptic_classes():
+            by_order.setdefault(d, []).append(qs)
+        for d, classes in by_order.items():
             w = mp.mpf(h) * (d - 1) / d
-            val += -w * z * mp.log(d) + w * lg_s
+            val += len(classes) * (-w * z * mp.log(d) + w * lg_s)
             for m in range(d):
-                a = alpha(d, qs, m)
+                a = sum(alpha(d, qs, m) for qs in classes)
                 if a:
                     val -= mp.mpf(a) / d * log_gamma((z + m) / d, prec + 16)
     return _rounded(prec, val)

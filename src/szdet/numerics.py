@@ -13,12 +13,15 @@ function value.
 log_gamma, riemann_zeta, hurwitz_zeta and zeta_prime_minus1 are mpmath's
 (``loggamma``, ``zeta`` and Glaisher's constant) behind the library's domain
 checks and error contract.  log_barnes_g, which mpmath does not provide, uses
-the order-two asymptotic expansion of ``log G(s+1)`` in the far right half
-plane plus the recursion ``G(z+1) = Gamma(z) G(z)``.
+the order-two expansion of ``log G(s+1)`` far right (its Bernoulli tail by
+Horner's rule over cached coefficients) and shifts there by ``G(z+1) = Gamma(z)
+G(z)``: one log of a product of rising factorials, its branch fixed by an integer.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -102,30 +105,35 @@ def log_gamma(z, prec: int = DEFAULT_PREC):
 # ---------------------------------------------------------------------------
 
 
-def _barnes_tail(u, wp: int):
-    """sum_{k>=1} B_{2k+2} / (4 k (k+1) u^{2k}), adaptively truncated.
+@functools.cache
+def _barnes_coeff(k: int, wp: int):
+    """c_k = B_{2k+2} / (4 k (k+1)) at wp bits, with float log2 |c_k|."""
+    with mp.workprec(wp):
+        c = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1))
+    return c, c._mpf_[2] + math.log2(c._mpf_[1])
+
+
+def _barnes_tail(u, log2_u: float, wp: int):
+    """sum_{k>=1} c_k / u^{2k}, c_k = B_{2k+2} / (4 k (k+1)), adaptively truncated.
 
     Signed Bernoulli numbers with a leading plus (``mp.bernoulli`` at the
     working precision): the k=1 and k=2 terms of this convention are the
     unique choice matching independent high-precision oracles for log G(s+1).
+    Horner's rule in 1/u^2 sums c_1..c_K, K the first k with float log2|c_k|
+    - 2k log2|u| < -(wp+4); c_k is cached per wp, only as far as calls reach.
     """
-    eps = mpf(2) ** (-(wp + 4))
-    u2 = u * u
-    pw = 1 / u2
-    total = mp.mpf(0)
-    last = mp.inf
+    coeffs, last = [], math.inf
     for k in range(1, 4 * wp + 1):
-        term = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1)) * pw
-        mag = abs(term)
+        c, log2_c = _barnes_coeff(k, wp)
+        mag = log2_c - 2 * k * log2_u
         if mag > last:
             raise PrecisionError(
                 f"Barnes series diverged before reaching 2^-{wp} at |u|={abs(u)}"
             )
-        total += term
-        if mag < eps:
-            return total
+        coeffs.append(c)
+        if mag < -(wp + 4):
+            return mp.polyval(coeffs[::-1] + [0], 1 / (u * u))
         last = mag
-        pw /= u2
     raise PrecisionError("Barnes series failed to terminate")
 
 
@@ -139,7 +147,8 @@ def log_barnes_g(z, prec: int = DEFAULT_PREC):
     raises ZeroError carrying that order.  Elsewhere the value is computed
     from the asymptotic expansion of log G(s+1) far to the right and the
     recursion G(z+1) = Gamma(z) G(z), so the recursion holds to working
-    precision by construction.
+    precision by construction.  The shift right takes one log of a product of
+    rising factorials, put on the branch by a float sum of their arguments.
     """
     with mp.workprec(prec + _GUARD):
         w = mp.mpmathify(z)
@@ -149,24 +158,30 @@ def log_barnes_g(z, prec: int = DEFAULT_PREC):
         if _is_real(w) and _real(w) < 0:
             raise DomainError("log_barnes_g: negative real argument lies on the cut")
         s = w - 1  # G(z) = G(s+1)
-        shift = max(0, int(mp.ceil(max(20, prec // 3) - _real(s))))
-        # log G(s+1) = log G(s+1+n) - sum_{k=0}^{n-1} log Gamma(s+1+k); expand
-        # each log Gamma incrementally from the base value to avoid n shifts.
-        corr = mp.mpf(0)
-        if shift:
-            base = log_gamma(s + 1, prec + _GUARD)
-            corr = shift * base
-            for i in range(shift - 1):
-                corr += (shift - 1 - i) * mp.log(s + 1 + i)
-        # w is off (-inf, 0], so s + 1 + i (i >= 0) and u (Re u >= 20) lie
-        # right of it or off the real axis: mp.log needs no cut check here
-        u = s + shift
+        n = max(0, int(mp.ceil(max(20, prec // 3) - _real(s))))
+        # log G(s+1) = log G(s+1+n) - n log Gamma(s+1) - log Q, where Q is
+        # prod_{0<j<n} (s+j)^(n-j): 2 bitlen(n) + 10 bits cover its ~n^2/2 roundings
+        with mp.workprec(prec + _GUARD + 2 * n.bit_length() + 10):
+            p = q = mp.mpf(1)
+            for j in range(1, n):
+                p *= s + j
+                q *= p
+            log_q = mp.log(q)
+            # |f| <= 1/2 keeps each float arg accurate; the sum is off ~n^2 pi 2^-52
+            a = int(mp.nint(s.real))
+            f, im = float(s.real - a), float(s.imag)
+            arg = math.fsum((n - j) * math.atan2(im, a + j + f) for j in range(1, n))
+            if k := round((arg - float(log_q.imag)) / (2 * math.pi)):  # 0 at real s
+                log_q += mpc(0, 2 * k) * mp.pi
+        corr = n * log_gamma(s + 1, prec + _GUARD) + log_q if n else 0
+        u = s + n
+        log_u = mp.log(u)  # Re u >= 20, so the principal log is the branch
         main = (
-            u * u / 2 * (mp.log(u) - mp.mpf(3) / 2)
-            - mp.log(u) / 12
+            u * u / 2 * (log_u - mp.mpf(3) / 2)
+            - log_u / 12
             + u / 2 * mp.log(2 * mp.pi)
             + zeta_prime_minus1(prec + _GUARD)
-            + _barnes_tail(u, prec + _GUARD)
+            + _barnes_tail(u, float(log_u.real) / math.log(2), prec + _GUARD)
         )
         val = main - corr
     return _rounded(prec, val)

@@ -13,10 +13,11 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
+from szdet import gfuncs
 from szdet.cli import _load_document, parse_orbifold_document
 from szdet.elliptic import m_n_floor
 from szdet.gfuncs import g1_coefficients, log_g1
-from szdet.orbifold import a_chi
+from szdet.orbifold import a_chi, modular_orbifold
 
 P = 256
 
@@ -95,3 +96,18 @@ def test_decimal_angles_are_read_exactly(tmp_path):
     assert orb.rep.cusp_data[0].angles == tuple(Fraction(j, 5) for j in range(1, 5))
     with mp.workprec(P + 16):
         assert abs(a_chi(orb.rep, P) - mpf(1) / 20) < mpf(2) ** (8 - P)
+
+
+def test_log_g1_takes_one_log_gamma_per_order_and_residue(monkeypatch):
+    # document B for p = 13 has two classes of order 2 and two of order 3, all
+    # with exponent 0, so their arguments (z + m)/d coincide: log G1 takes as
+    # many log Gamma values as for the modular group, with one class of each
+    calls = []
+    log_gamma = gfuncs.log_gamma
+    monkeypatch.setattr(gfuncs, "log_gamma", lambda *a: calls.append(a) or log_gamma(*a))
+    counts = []
+    for orb in (parse_orbifold_document(document_b(13), P)[0], modular_orbifold()):
+        calls.clear()
+        log_g1(orb, mpc("2.5", 1), P)
+        counts.append(len(calls))
+    assert counts == [4, 4]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -6,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from szdet.errors import DomainError, PoleError, ZeroError
+from szdet.errors import DomainError, PoleError, PrecisionError, ZeroError
 from szdet.numerics import (
+    _barnes_tail,
     hurwitz_zeta,
     log_barnes_g,
     log_gamma,
@@ -142,6 +144,74 @@ def test_barnes_against_independent_oracle():
             mine = mp.exp(log_barnes_g(z, P))
             ref = mp.barnesg(z)
             assert abs(mine - ref) <= mpf(2) ** (24 - P) * abs(ref)
+
+
+def log_barnes_g_by_factors(z, prec):
+    """log G(z) with one principal mp.log per factor of the shift.
+
+    The library's former evaluation, kept as the reference: each factor
+    s + 1 + i of the shift lies right of z or off the real axis, so its
+    principal log is on the continued branch and no branch count is needed;
+    the Bernoulli tail is summed term by term, largest first.
+    """
+    wp = prec + 32
+    with mp.workprec(wp):
+        s = mp.mpmathify(z) - 1
+        shift = max(0, int(mp.ceil(max(20, prec // 3) - s.real)))
+        corr = mp.mpf(0)
+        if shift:
+            corr = shift * log_gamma(s + 1, wp)
+            for i in range(shift - 1):
+                corr += (shift - 1 - i) * mp.log(s + 1 + i)
+        u = s + shift
+        tail, pw, k = mp.mpf(0), 1 / (u * u), 1
+        while True:
+            term = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1)) * pw
+            tail += term
+            if abs(term) < mpf(2) ** (-(wp + 4)):
+                break
+            pw /= u * u
+            k += 1
+        main = (
+            u * u / 2 * (mp.log(u) - mp.mpf(3) / 2)
+            - mp.log(u) / 12
+            + u / 2 * mp.log(2 * mp.pi)
+            + zeta_prime_minus1(wp)
+            + tail
+        )
+        val = main - corr
+    with mp.workprec(prec):
+        return +val
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128, 272, 512])
+def test_barnes_branch_against_per_factor_logs(prec):
+    # exp() comparisons cannot see a 2 pi i error in the branch count of the
+    # product shift; the per-factor reference can, and must agree bit for bit
+    rng = random.Random(2718)
+    pts = [mpc(rng.uniform(-40, 8), rng.uniform(-60, 60)) for _ in range(16)]
+    pts += [mpc(2, 1e5), mpc(2, 1e9), mpc("3.5", -1e6), mpf("0.25"), mpf(7),
+            mpc("-7.5", "-1e-400")]
+    for z in pts:
+        assert log_barnes_g(z, prec) == log_barnes_g_by_factors(z, prec), z
+    # the branch the docstrings state: Im log G(3+50i) ~ -1623.36
+    assert abs(log_barnes_g(mpc(3, 50), prec).imag - mpf("-1623.3588190424")) < mpf(10) ** -9
+
+
+def test_barnes_shift_takes_one_log(monkeypatch):
+    # at 256 bits 3+i is shifted by 83 to Re u >= 85: one log for the shift,
+    # one of u, and the two constants log(2 pi) and log A
+    calls = []
+    log = mp.log
+    monkeypatch.setattr(mp, "log", lambda *a, **k: calls.append(a) or log(*a, **k))
+    log_barnes_g(mpc(3, 1), 256)
+    assert 0 < len(calls) <= 4
+
+
+def test_barnes_tail_refuses_a_diverging_series():
+    # at |u| = 2 the terms bottom out near 2^-18, far above 2^-260
+    with pytest.raises(PrecisionError, match="diverged"):
+        _barnes_tail(mpf(2), 1.0, 256)
 
 
 def test_riemann_zeta_trivial_values():
