@@ -12,15 +12,13 @@ function value.
 
 log_gamma, riemann_zeta, hurwitz_zeta and zeta_prime_minus1 are mpmath's
 (``loggamma``, ``zeta`` and Glaisher's constant) behind the library's domain
-checks and error contract.  log_barnes_g, which mpmath does not provide, uses
-the order-two expansion of ``log G(s+1)`` far right (its Bernoulli tail by
-Horner's rule over cached coefficients) and shifts there by ``G(z+1) = Gamma(z)
-G(z)``: one log of a product of rising factorials, its branch fixed by an integer.
+checks and error contract.  log_barnes_g, which mpmath does not provide, expands
+``log G(s+1)`` far right, its Bernoulli tail by Horner's rule, and shifts there
+by one log of a product of rising factorials and a branch integer.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -105,27 +103,18 @@ def log_gamma(z, prec: int = DEFAULT_PREC):
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _barnes_coeff(k: int, wp: int):
-    """c_k = B_{2k+2} / (4 k (k+1)) at wp bits, with float log2 |c_k|."""
-    with mp.workprec(wp):
-        c = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1))
-    return c, c._mpf_[2] + math.log2(c._mpf_[1])
-
-
 def _barnes_tail(u, log2_u: float, wp: int):
     """sum_{k>=1} c_k / u^{2k}, c_k = B_{2k+2} / (4 k (k+1)), adaptively truncated.
 
     Signed Bernoulli numbers with a leading plus (``mp.bernoulli`` at the
     working precision): the k=1 and k=2 terms of this convention are the
     unique choice matching independent high-precision oracles for log G(s+1).
-    Horner's rule in 1/u^2 sums c_1..c_K, K the first k with float log2|c_k|
-    - 2k log2|u| < -(wp+4); c_k is cached per wp, only as far as calls reach.
+    Horner's rule in 1/u^2 sums c_1..c_K, K the first k with log2|c_k u^-2k| < -(wp+4).
     """
     coeffs, last = [], math.inf
     for k in range(1, 4 * wp + 1):
-        c, log2_c = _barnes_coeff(k, wp)
-        mag = log2_c - 2 * k * log2_u
+        c = mp.bernoulli(2 * k + 2) / (4 * k * (k + 1))
+        mag = c._mpf_[2] + math.log2(c._mpf_[1]) - 2 * k * log2_u  # log2 |c_k / u^2k|
         if mag > last:
             raise PrecisionError(
                 f"Barnes series diverged before reaching 2^-{wp} at |u|={abs(u)}"
@@ -144,11 +133,10 @@ def log_barnes_g(z, prec: int = DEFAULT_PREC):
     the principal log of G(z): Im log G(3+50i) ~ -1623.36.
 
     G(z) vanishes at z = 0, -1, -2, ... to order 1 - z; requesting log there
-    raises ZeroError carrying that order.  Elsewhere the value is computed
-    from the asymptotic expansion of log G(s+1) far to the right and the
-    recursion G(z+1) = Gamma(z) G(z), so the recursion holds to working
-    precision by construction.  The shift right takes one log of a product of
-    rising factorials, put on the branch by a float sum of their arguments.
+    raises ZeroError carrying that order.  Elsewhere log G(s+1) is expanded
+    far right and shifted back by G(z+1) = Gamma(z) G(z), so the recursion
+    holds to working precision by construction: one log of a product of rising
+    factorials, put on the branch by a float sum of their arguments.
     """
     with mp.workprec(prec + _GUARD):
         w = mp.mpmathify(z)
@@ -159,21 +147,26 @@ def log_barnes_g(z, prec: int = DEFAULT_PREC):
             raise DomainError("log_barnes_g: negative real argument lies on the cut")
         s = w - 1  # G(z) = G(s+1)
         n = max(0, int(mp.ceil(max(20, prec // 3) - _real(s))))
-        # log G(s+1) = log G(s+1+n) - n log Gamma(s+1) - log Q, where Q is
-        # prod_{0<j<n} (s+j)^(n-j): 2 bitlen(n) + 10 bits cover its ~n^2/2 roundings
-        with mp.workprec(prec + _GUARD + 2 * n.bit_length() + 10):
-            p = q = mp.mpf(1)
-            for j in range(1, n):
-                p *= s + j
-                q *= p
-            log_q = mp.log(q)
-            # |f| <= 1/2 keeps each float arg accurate; the sum is off ~n^2 pi 2^-52
-            a = int(mp.nint(s.real))
-            f, im = float(s.real - a), float(s.imag)
-            arg = math.fsum((n - j) * math.atan2(im, a + j + f) for j in range(1, n))
-            if k := round((arg - float(log_q.imag)) / (2 * math.pi)):  # 0 at real s
-                log_q += mpc(0, 2 * k) * mp.pi
-        corr = n * log_gamma(s + 1, prec + _GUARD) + log_q if n else 0
+        corr = 0
+        if n:
+            # log G(s+1) = log G(s+1+n) - n log Gamma(s+1) - log Q, where Q is
+            # prod_{0<j<n} (s+j)^(n-j): 2 bitlen(n) + 10 bits cover its ~n^2/2 roundings
+            with mp.workprec(prec + _GUARD + 2 * n.bit_length() + 10):
+                p = q = mp.mpf(1)
+                for j in range(1, n):
+                    p *= s + j
+                    q *= p
+                log_q = mp.log(q)
+                # a float arg is accurate where |a + j + f| >= 1/2, so the sum is off
+                # ~n^2 pi 2^-52; both parts of s - a (a + j = 0) may underflow a float
+                a = int(mp.nint(s.real))
+                f, im = float(s.real - a), float(s.imag)
+                args = [(n - j) * math.atan2(im, a + j + f) for j in range(1, n) if a + j]
+                if 0 < -a < n:
+                    args.append((n + a) * float(mp.atan2(s.imag, s.real - a)))
+                if k := round((math.fsum(args) - float(log_q.imag)) / (2 * math.pi)):
+                    log_q += mpc(0, 2 * k) * mp.pi  # k = 0 at real s
+            corr = n * log_gamma(s + 1, prec + _GUARD) + log_q
         u = s + n
         log_u = mp.log(u)  # Re u >= 20, so the principal log is the branch
         main = (

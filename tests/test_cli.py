@@ -524,29 +524,6 @@ def test_huge_elliptic_orders_are_a_document_error(tmp_path):
     assert cli.main(["mn", "--orbifold", str(path), "--n-max", "0"]) == 2
 
 
-def test_import_fills_no_barnes_coefficients():
-    # the Bernoulli coefficients of log G's tail are cached on first use only;
-    # the second line shows that both probes see a call that does fill them
-    src = Path(__file__).resolve().parent.parent / "src"
-    code = (
-        "from mpmath import mp\n"
-        "calls = []\n"
-        "bernoulli = mp.bernoulli\n"
-        "mp.bernoulli = lambda *a, **k: calls.append(a) or bernoulli(*a, **k)\n"
-        "import szdet.cli\n"
-        "from szdet import numerics\n"
-        "print(numerics._barnes_coeff.cache_info().currsize, len(calls))\n"
-        "numerics.log_barnes_g(3, 64)\n"
-        "print(numerics._barnes_coeff.cache_info().currsize > 0, len(calls) > 0)\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["0 0", "True True"]
-
-
 def test_production_modules_load_no_oracles():
     # detsq and mn run the production modules only: the oracles and the
     # verify suites that use them load with `szdet verify` alone

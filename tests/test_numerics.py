@@ -192,6 +192,10 @@ def test_barnes_branch_against_per_factor_logs(prec):
     pts = [mpc(rng.uniform(-40, 8), rng.uniform(-60, 60)) for _ in range(16)]
     pts += [mpc(2, 1e5), mpc(2, 1e9), mpc("3.5", -1e6), mpf("0.25"), mpf(7),
             mpc("-7.5", "-1e-400")]
+    # next to a zero of G the factor s - a of the shift has both parts below
+    # the smallest float, yet its argument is +-pi/2 and weighs n + a >= 20
+    pts += [mpc(-7, "1e-400"), mpc(0, "1e-400"), mpc(-3, "-1e-330"),
+            mpc(mpf(-5) + mpf("1e-400"), "-3e-400")]
     for z in pts:
         assert log_barnes_g(z, prec) == log_barnes_g_by_factors(z, prec), z
     # the branch the docstrings state: Im log G(3+50i) ~ -1623.36
