@@ -12,9 +12,12 @@ function value.
 
 log_gamma, riemann_zeta, hurwitz_zeta and zeta_prime_minus1 are mpmath's
 (``loggamma``, ``zeta`` and Glaisher's constant) behind the library's domain
-checks and error contract.  log_barnes_g, which mpmath does not provide, expands
-``log G(s+1)`` far right, its Bernoulli tail by Horner's rule, and shifts there
-by one log of a product of rising factorials and a branch integer.
+checks and error contract.  Two functions mpmath does not provide:
+log_barnes_g expands ``log G(s+1)`` far right, its Bernoulli tail by Horner's
+rule, and shifts there by one log of a product of rising factorials and a
+branch integer; zeta_pair gives (zeta(s-1), zeta(s)) from one Borwein sum over
+powers built from the primes where mpmath would run Borwein's algorithm for
+both (Re s >= 1, |s| <= prec + 32), and from two riemann_zeta calls elsewhere.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp.gammazeta import borwein_coefficients
+from mpmath.libmp.libelefun import cos_sin_fixed, exp_fixed, ln2_fixed, log_int_fixed, pi_fixed
 
 from .errors import DomainError, PoleError, PrecisionError, ZeroError
 
@@ -193,6 +199,56 @@ def riemann_zeta(s, prec: int = DEFAULT_PREC):
             raise PoleError("zeta pole at s = 1")
         val = mp.zeta(w)
     return _rounded(prec, val)
+
+
+def zeta_pair(s, prec: int = DEFAULT_PREC):
+    """(zeta(s-1), zeta(s)) on C minus the poles at s = 2 and s = 1.
+
+    Where mpmath would sum Borwein's eta series for both (Re s >= 1, |s| <=
+    prec + _GUARD, neither argument within 2^-(prec/2 + 26) of 1), one sum
+    serves both: m^-s is a fixed-point exp and cos/sin of log p for a prime
+    m = p and the product of two earlier entries for a composite, and eta(s-1)
+    weights it by m.  As |m^-s| <= 1/m, each entry is off by a few units of
+    2^-wp, and mpmath's 20 extra bits cover the n^2 of the weighted sum.
+    Elsewhere it is riemann_zeta(s - 1), riemann_zeta(s).
+    """
+    with mp.workprec(prec + _GUARD):
+        w = mp.mpmathify(s)
+        wp = prec + _GUARD + 20
+        dist = [-2 * mp.mag(r) for r in (2 - w, 1 - w)]  # bits to the poles, as mpmath
+        if _real(w) < 1 or abs(w) > prec + _GUARD or max(dist) > wp:
+            return riemann_zeta(mp.fsub(w, 1, prec=prec), prec), riemann_zeta(w, prec)
+        wp += sum(max(0, x) for x in dist)
+        n = int(wp / 2.54 + 5) + int(0.9 * abs(int(mp.im(w))))
+        d = borwein_coefficients(n)
+        sf, tf = (to_fixed(x._mpf_, wp) for x in (mp.re(w), mp.im(w)))
+        ln2, pi2, one = ln2_fixed(wp), pi_fixed(wp - 1), 1 << wp
+        spf = [0] * (n + 1)  # smallest prime factor
+        re, im = [0, one], [0, 0]  # m^-s at index m
+        for m in range(2, n + 1):
+            if not spf[m]:
+                spf[m::m] = [q or m for q in spf[m::m]]
+                log = log_int_fixed(m, wp, ln2)
+                r = exp_fixed(-(sf * log) >> wp, wp, ln2)
+                c, si = cos_sin_fixed(-(tf * log) >> wp, wp, pi2) if tf else (one, 0)
+                re.append((r * c) >> wp)
+                im.append((r * si) >> wp)
+            else:
+                (a, b), p = (re[spf[m]], im[spf[m]]), m // spf[m]
+                re.append((a * re[p] - b * im[p]) >> wp)
+                im.append((a * im[p] + b * re[p]) >> wp)
+        e1r = e1i = e0r = e0i = 0
+        for m in range(1, n + 1):
+            c = d[m - 1] - d[n] if m & 1 else d[n] - d[m - 1]
+            x, y = c * re[m], c * im[m]
+            e0r, e0i, e1r, e1i = e0r + x, e0i + y, e1r + m * x, e1i + m * y
+    out = []
+    with mp.workprec(wp):
+        for u, er, ei in ((w - 1, e1r, e1i), (w, e0r, e0i)):
+            eta = (mp.make_mpc((from_man_exp(er // -d[n], -wp), from_man_exp(ei // -d[n], -wp)))
+                   if isinstance(w, mpc) else mp.make_mpf(from_man_exp(er // -d[n], -wp)))
+            out.append(_rounded(prec, eta / (1 - mp.mpf(2) ** (1 - u))))
+    return tuple(out)
 
 
 def zeta_prime_minus1(prec: int = DEFAULT_PREC) -> mpf:

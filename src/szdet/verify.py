@@ -176,6 +176,8 @@ def suite_scattering(prec: int) -> list[CheckResult]:
     tol = mpf(2) ** (20 - prec)
     with mp.workprec(prec + 8):
         worst = mpf(0)
+        # Re s in [0.2, 2.2]: one of s, 1 - s takes zeta_pair's Borwein sum
+        # and the other mp.zeta's reflection, so each route checks the other
         for _ in range(20):
             s = mpc(mpf("0.2") + 2 * rng.random(), mpf(-3) + 6 * rng.random())
             r = abs(model.phi(s, prec) * model.phi(1 - s, prec) - 1)

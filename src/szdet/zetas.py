@@ -23,7 +23,9 @@ fixed-point exp (and cos/sin) kernels, and a Horner loop sums the series,
 all in Python integer arithmetic (error bound in selberg_log_z's docstring).
 
 Scattering determinants come in two flavours: the built-in modular closed
-form sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)) and a generic
+form sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)), whose two zetas
+come from numerics.zeta_pair (one shared Borwein sum for Re s >= 1/2 and
+|2s| <= prec + 48, two mp.zeta calls elsewhere), and a generic
 Dirichlet-series model L(s) H(s) with user-supplied coefficients.
 """
 
@@ -46,8 +48,8 @@ from .numerics import (
     _real,
     _rounded,
     log_gamma,
-    riemann_zeta,
     to_scalar,
+    zeta_pair,
 )
 
 # the walk counts the 602,498 classes up to this trace (norm ~9.0e6) in
@@ -424,7 +426,9 @@ class ModularScattering:
     """phi(s) = sqrt(pi) Gamma(s-1/2) zeta(2s-1) / (Gamma(s) zeta(2s)).
 
     Realizes the one-cusp Dirichlet-series structure with g_1 = 1 and
-    d(1) = 1, so the degree of singularity is 1 and c1 = c2 = 0.
+    d(1) = 1, so the degree of singularity is 1 and c1 = c2 = 0.  Both zetas
+    come from one numerics.zeta_pair(2s) call: one Borwein sum for Re s >= 1/2
+    and |2s| <= prec + 48, mp.zeta's reflection or other methods elsewhere.
     """
 
     def constants(self, prec: int = DEFAULT_PREC):
@@ -446,13 +450,8 @@ class ModularScattering:
             elif _nonpositive_integer(z) is not None or _nonpositive_integer(z - half) is not None:
                 val = 1 / self.phi(1 - z, wp)
             else:
-                val = (
-                    mp.sqrt(mp.pi)
-                    * mp.gamma(z - half)
-                    / mp.gamma(z)
-                    * riemann_zeta(2 * z - 1, wp)
-                    / riemann_zeta(2 * z, wp)
-                )
+                zeta_minus, zeta_s = zeta_pair(2 * z, wp)
+                val = mp.sqrt(mp.pi) * mp.gamma(z - half) / mp.gamma(z) * zeta_minus / zeta_s
         return _rounded(prec, val)
 
 
@@ -657,25 +656,12 @@ def load_geodesic_table(path, dim: int = 1, prec: int = DEFAULT_PREC) -> ListGeo
     return ListGeodesicSource(entries=tuple(entries), dim=dim)
 
 
-def save_generic_scattering(path, model: GenericScattering, prec: int = DEFAULT_PREC):
-    """Header 'k c1 c2', then one 'u_n Re(a_n) Im(a_n)' line per term."""
-    with mp.workprec(prec), open(path, "w") as fh:
-        digits = int(prec / 3.32) + 2
-        c1 = to_scalar(model.c1, prec)
-        c2 = to_scalar(model.c2, prec)
-        fh.write(f"{model.k} {mp.nstr(c1, digits)} {mp.nstr(c2, digits)}\n")
-        for u, a in model.terms:
-            av = mp.mpc(to_scalar(a, prec))
-            fh.write(
-                f"{mp.nstr(to_scalar(u, prec), digits)} "
-                f"{mp.nstr(av.real, digits)} {mp.nstr(av.imag, digits)}\n"
-            )
-
-
 def load_generic_scattering(path, prec: int = DEFAULT_PREC) -> GenericScattering:
-    """Read save_generic_scattering's format at ``prec`` bits.
+    """Read a generic scattering model at ``prec`` bits.
 
-    A line with other than three fields, a k that is not an integer, a
+    The file holds a header line 'k c1 c2', then one 'u_n Re(a_n) Im(a_n)'
+    line per Dirichlet term; blank lines and lines starting with '#' are
+    skipped.  A line with other than three fields, a k that is not an integer, a
     malformed or non-finite number, or u_n that are not increasing from
     above 1 raises DomainError naming the file (and the line, where one is
     at fault).

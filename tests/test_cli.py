@@ -201,15 +201,33 @@ def test_verify_all_passes_at_64_bits(capsys):
     assert all(re.search(r"  \(.*\d.*\)$|  \(raised \w+\)$", ln) for ln in lines[:-1])
 
 
-@pytest.mark.parametrize("prec", [64, 192])
-def test_verify_scattering_catches_phi_off_by_half_the_bits(prec, monkeypatch, capsys):
-    original = zetas.ModularScattering.phi
+@pytest.mark.parametrize("prec, shared_sum", [(64, False), (192, False), (64, True), (192, True)],
+                         ids=["64", "192", "64-shared-sum", "192-shared-sum"])
+def test_verify_scattering_catches_phi_off_by_half_the_bits(prec, shared_sum, monkeypatch,
+                                                             capsys):
+    if shared_sum:
+        # only zeta_pair's Borwein route is off: phi(s) phi(1 - s) pairs it
+        # with mp.zeta's reflection, and phi(2) takes it alone
+        original, zeta = zetas.zeta_pair, numerics.riemann_zeta
+        calls = []
+        monkeypatch.setattr(numerics, "riemann_zeta",
+                            lambda s, p=256: calls.append(s) or zeta(s, p))
 
-    def off(self, s, prec=256):
-        with mp.workprec(prec + 8):
-            return original(self, s, prec) * (1 + mpf(2) ** -(prec // 2))
+        def off(s, prec=256):
+            n = len(calls)
+            a, b = original(s, prec)
+            with mp.workprec(prec + 8):
+                return (a, b) if len(calls) > n else (a * (1 + mpf(2) ** -(prec // 2)), b)
 
-    monkeypatch.setattr(zetas.ModularScattering, "phi", off)
+        monkeypatch.setattr(zetas, "zeta_pair", off)
+    else:
+        original = zetas.ModularScattering.phi
+
+        def off(self, s, prec=256):
+            with mp.workprec(prec + 8):
+                return original(self, s, prec) * (1 + mpf(2) ** -(prec // 2))
+
+        monkeypatch.setattr(zetas.ModularScattering, "phi", off)
     assert cli.main(["verify", "scattering", "--prec", str(prec)]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] modular phi(s) phi(1-s) = 1  (worst residual" in out

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
+from szdet import numerics
 from szdet.errors import DomainError, PoleError, PrecisionError, ZeroError
 from szdet.numerics import (
     _barnes_tail,
@@ -15,6 +16,7 @@ from szdet.numerics import (
     log_gamma,
     riemann_zeta,
     to_scalar,
+    zeta_pair,
     zeta_prime_minus1,
 )
 
@@ -239,6 +241,42 @@ def test_riemann_zeta_matches_reference(re, im):
     with mp.workprec(P + 16):
         ref = mp.zeta(s)
     assert abs(riemann_zeta(s, P) - ref) <= mpf(2) ** (24 - P) * (1 + abs(ref))
+
+
+def _zeta_pair_points(prec):
+    """Seeded points with Re s in [1, 9] and |Im s| <= 6, the two poles' edges,
+    a point on Re s = 1 and the two sides of the |s| = prec + 32 switch, each
+    with the number of riemann_zeta calls its route takes."""
+    rng = random.Random(prec)
+    with mp.workprec(prec + 64):
+        eps, t = mpf(2) ** -(prec // 2), mp.sqrt(mpf(prec + 32) ** 2 - 4)
+        pts = [mpc(1 + 8 * rng.random(), 12 * rng.random() - 6) for _ in range(10)]
+        pts += [mpf(1 + 8 * rng.random()) for _ in range(3)] + [mpf(3), mpf(4)]
+        pts += [2 + mpf(2) ** -40, 1 + eps, mpc(1, eps), mpc(1, "28.2694")]
+        return [(s, 0) for s in pts] + [(mpc(2, t - 0.5), 0), (mpc(2, t + 0.5), 2)]
+
+
+@pytest.mark.parametrize("prec", [53, 64, 128, 256, 512])
+def test_zeta_pair_matches_mp_zeta(prec, monkeypatch):
+    # the shared Borwein sum against mp.zeta at 64 more bits, and the route
+    # each point takes
+    calls = []
+    monkeypatch.setattr(numerics, "riemann_zeta",
+                        lambda s, p=P: calls.append(s) or riemann_zeta(s, p))
+    for s, routed in _zeta_pair_points(prec):
+        del calls[:]
+        pair = zeta_pair(s, prec)
+        assert len(calls) == routed, s
+        with mp.workprec(prec + 64):
+            for value, ref in zip(pair, (mp.zeta(s - 1), mp.zeta(s))):
+                assert isinstance(value, type(s))
+                assert abs(value - ref) <= mpf(2) ** -prec * abs(ref), (s, value, ref)
+
+
+@pytest.mark.parametrize("s", [2, mpf(2), mpc(2, 0), 1, mpc(1, 0)])
+def test_zeta_pair_poles(s):
+    with pytest.raises(PoleError, match="zeta pole at s = 1"):
+        zeta_pair(s, P)
 
 
 def test_zeta_prime_minus1():

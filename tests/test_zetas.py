@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 from mpmath import ctx_mp_python, mp, mpc, mpf
 
-from szdet import zetas
+from szdet import numerics, zetas
 from szdet.errors import ConvergenceError, CutoffError, DomainError, PoleError
-from szdet.numerics import riemann_zeta
+from szdet.numerics import riemann_zeta, to_scalar
 from szdet.oracles import matrix_class_counts, necklace_counts_by_trace
 from szdet.zetas import (
     GenericScattering,
@@ -26,7 +26,6 @@ from szdet.zetas import (
     load_geodesic_table,
     modular_geodesics,
     norm_of_trace,
-    save_generic_scattering,
     save_geodesic_table,
     selberg_log_z,
     word_matrix,
@@ -903,12 +902,38 @@ def test_generic_scattering_keeps_its_numbers_exact():
             GenericScattering(k=1, terms=((u, 1),))
 
 
+@pytest.mark.parametrize("z, prec, calls", [
+    (mpc(3, 1), 256, 0),
+    (mpc("0.3", 1), 256, 2),  # Re(2z - 1) < 0: mp.zeta reflects
+    (mpc(2, 200), 64, 2),  # |2z| = 400 > 64 + 16 + 32 bits
+])
+def test_phi_takes_the_shared_zeta_sum_only_on_its_domain(z, prec, calls, monkeypatch):
+    seen = []
+    original = numerics.riemann_zeta
+    monkeypatch.setattr(numerics, "riemann_zeta",
+                        lambda s, p=P: seen.append(s) or original(s, p))
+    ModularScattering().phi(z, prec)
+    assert len(seen) == calls
+
+
+def _save_generic_scattering(path, model, prec):
+    """Write the format load_generic_scattering reads, at ``prec`` bits."""
+    with mp.workprec(prec), open(path, "w") as fh:
+        digits = int(prec / 3.32) + 2
+        c1, c2 = to_scalar(model.c1, prec), to_scalar(model.c2, prec)
+        fh.write(f"{model.k} {mp.nstr(c1, digits)} {mp.nstr(c2, digits)}\n")
+        for u, a in model.terms:
+            av = mp.mpc(to_scalar(a, prec))
+            fh.write(f"{mp.nstr(to_scalar(u, prec), digits)} "
+                     f"{mp.nstr(av.real, digits)} {mp.nstr(av.imag, digits)}\n")
+
+
 def test_generic_scattering_roundtrip(tmp_path):
     with mp.workprec(160):
         g = GenericScattering(k=2, c1=mpf("0.25"), c2=mpf("-0.5"),
                               terms=((mpf("1.25"), mpc("0.5", "0.25")),))
         path = tmp_path / "scattering.dat"
-        save_generic_scattering(path, g, prec=160)
+        _save_generic_scattering(path, g, prec=160)
         h = load_generic_scattering(path, prec=160)
         assert h.k == 2
         s = mpc("2.2", "1.4")
